@@ -12,7 +12,8 @@ Subcommands:
 Flags are mirrored one-to-one by an optional JSON config file
 (--config); explicit flags override file values.  Exit codes: 0 on
 success, 1 on invalid input, 2 when independent computations of the
-same quantity disagree (which would mean a bug, not a user error).
+same quantity disagree or an internal consistency check fails (which
+would mean a bug, not a user error).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .cover import (
     TypeSpec, derive_params, generic_cover, kp_cover, orbits, savin_cover,
     select_representatives, verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
+from .errors import InternalDisagreement
 from .hecke_affine import (
     AffineHeckeElement, ah_multiply, ah_one, ah_phi, ah_t, bernstein_cross,
     check_twphi_lemma, lattice_for, whittaker_dim_hecke,
@@ -491,6 +493,9 @@ def main(argv=None) -> int:
         if args.command == "hilbert":
             return cmd_hilbert(cfg, args.elements)
         raise AssertionError(f"unhandled command {args.command}")
+    except InternalDisagreement as exc:
+        print(f"error: internal disagreement: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,14 +23,21 @@ Polynomial gcds use the primitive Euclidean algorithm (primitive part after
 each pseudo-remainder).  Degrees stay tiny in this application; no need for
 subresultants.
 
-kernel_basis does fraction-free-ish Gauss elimination over Q(q) on sparse
-rows with a cheapest-pivot heuristic.  The homomorphism-space computations in
-the Hecke modules feed it systems that are large but very sparse (at most
-three entries per row), and the heuristic keeps fill-in negligible.
+kernel_basis does Gauss-Jordan elimination over Q(q) on sparse rows with a
+cheapest-pivot heuristic: the next pivot is the entry with the smallest key
+(entry cost = numerator degree + denominator degree, row length, column,
+original row order).  A heap holds those keys, refreshed whenever a row
+changes and checked against the row when popped, and a column -> rows index
+names the rows each pivot touches, so a pivot step costs only the rows it
+eliminates from instead of a scan of every entry.  The homomorphism-space
+computations in the Hecke modules feed it systems that are large but very
+sparse (at most two entries per row), and the heuristic keeps fill-in
+negligible.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd as _igcd
 
@@ -374,29 +381,55 @@ def rf_eval(a: RatFunc, q_value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class RFMatrix:
-    """Dense rectangular matrix over Q(q) (rows of equal length)."""
+    """Rectangular matrix over Q(q), stored as sparse rows.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    RFMatrix(rows) takes dense rows of equal length; RFMatrix.sparse(rows,
+    ncols) takes rows as dicts column -> entry.  entries holds one dict per
+    row with the zero entries dropped.
+    """
+
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows):
         rows = [tuple(_coerce(e) for e in row) for row in rows]
-        if rows:
-            w = len(rows[0])
-            for row in rows:
-                if len(row) != w:
-                    raise ValueError("ragged rows in RFMatrix")
-        else:
-            w = 0
-        self.rows = tuple(rows)
+        w = len(rows[0]) if rows else 0
+        if any(len(row) != w for row in rows):
+            raise ValueError("ragged rows in RFMatrix")
+        self.entries = tuple({j: e for j, e in enumerate(row) if e} for row in rows)
         self.nrows = len(rows)
         self.ncols = w
+
+    @classmethod
+    def sparse(cls, rows, ncols: int) -> "RFMatrix":
+        entries = []
+        for row in rows:
+            d = {}
+            for j, e in row.items():
+                if not 0 <= j < ncols:
+                    raise ValueError("column %d outside 0..%d" % (j, ncols - 1))
+                e = _coerce(e)
+                if e:
+                    d[j] = e
+            entries.append(d)
+        out = cls.__new__(cls)
+        out.entries = tuple(entries)
+        out.nrows = len(entries)
+        out.ncols = ncols
+        return out
+
+    @property
+    def rows(self) -> tuple:
+        """Dense rows."""
+        return tuple(tuple(row.get(j, RF_ZERO) for j in range(self.ncols))
+                     for row in self.entries)
 
     def eval_at(self, q_value):
         """Entrywise evaluation to a list-of-lists of Fractions."""
         return [[rf_eval(e, q_value) for e in row] for row in self.rows]
 
     def __eq__(self, other):
-        return isinstance(other, RFMatrix) and self.rows == other.rows
+        return (isinstance(other, RFMatrix) and self.ncols == other.ncols
+                and self.entries == other.entries)
 
     def __repr__(self):
         return "RFMatrix(%d x %d)" % (self.nrows, self.ncols)
@@ -409,73 +442,76 @@ def _entry_cost(e: RatFunc) -> int:
 def kernel_basis(m) -> list:
     """Basis of the right kernel {v : m v = 0} over Q(q).
 
-    Accepts an RFMatrix or a list of rows.  Returns a list of tuples of
-    RatFunc, one per free column of the reduced system, each scaled so that
-    its first nonzero entry is 1.  The result is deterministic: basis vectors
-    are ordered by their free column index.
+    Accepts an RFMatrix (dense or sparse) or a list of dense rows.  Returns a
+    list of tuples of RatFunc, one per free column of the reduced system, each
+    scaled so that its first nonzero entry is 1.  The result is
+    deterministic: basis vectors are ordered by their free column index.
     """
     if not isinstance(m, RFMatrix):
         m = RFMatrix(m)
     ncols = m.ncols
-    # sparse rows: dict col -> RatFunc
-    work = []
-    for row in m.rows:
-        d = {j: e for j, e in enumerate(row) if e}
-        if d:
-            work.append(d)
+    # row id = position among the nonzero rows, the last tie-break of a key
+    rows = [dict(row) for row in m.entries if row]
+    cols: dict[int, set] = {}       # column -> ids of rows nonzero there
+    heap = []
+    for rid, row in enumerate(rows):
+        for j, e in row.items():
+            cols.setdefault(j, set()).add(rid)
+            heap.append((_entry_cost(e), len(row), j, rid))
+    heapq.heapify(heap)
+    live = set(range(len(rows)))    # nonzero rows not yet used as pivots
+    pivot_col: dict[int, int] = {}  # pivot row id -> its pivot column
 
-    # pivots[col] = eliminated row (dict) normalised to pivot coefficient 1
-    pivots: dict[int, dict] = {}
-    while work:
-        # cheapest pivot: smallest entry cost, then shortest row, then column.
-        best = None
-        for ri, row in enumerate(work):
-            for col, e in row.items():
-                key = (_entry_cost(e), len(row), col, ri)
-                if best is None or key < best[0]:
-                    best = (key, ri, col)
-        _, ri, pc = best
-        prow = work.pop(ri)
-        pe = prow[pc]
+    while live:
+        cost, ln, pc, rid = heapq.heappop(heap)
+        prow = rows[rid]
+        # a stale key: the row became a pivot, emptied, or changed since
+        if rid not in live or len(prow) != ln:
+            continue
+        pe = prow.get(pc)
+        if pe is None or _entry_cost(pe) != cost:
+            continue
+        live.discard(rid)
         prow = {j: e / pe for j, e in prow.items()}
-        # eliminate pc from everything else, existing pivot rows included
-        for other in pivots.values():
-            if pc in other:
-                f = other.pop(pc)
-                for j, e in prow.items():
-                    if j == pc:
-                        continue
-                    v = other.get(j, RF_ZERO) - f * e
-                    if v:
-                        other[j] = v
-                    else:
-                        other.pop(j, None)
-        nxt = []
-        for other in work:
-            if pc in other:
-                f = other.pop(pc)
-                for j, e in prow.items():
-                    if j == pc:
-                        continue
-                    v = other.get(j, RF_ZERO) - f * e
-                    if v:
-                        other[j] = v
-                    else:
-                        other.pop(j, None)
-            if other:
-                nxt.append(other)
-        work = nxt
-        pivots[pc] = prow
+        rows[rid] = prow
+        # eliminate pc from every other row, existing pivot rows included
+        for oid in cols[pc]:
+            if oid == rid:
+                continue
+            other = rows[oid]
+            nf = -other.pop(pc)
+            for j, e in prow.items():
+                if j == pc:
+                    continue
+                x = other.get(j)
+                if x is None:               # fill-in: nonzero, as nf and e are
+                    other[j] = nf * e
+                    cols.setdefault(j, set()).add(oid)
+                    continue
+                v = x + nf * e
+                if v:
+                    other[j] = v
+                else:
+                    del other[j]
+                    cols[j].discard(oid)
+            if oid in live:
+                if other:
+                    for j, e in other.items():
+                        heapq.heappush(heap, (_entry_cost(e), len(other), j, oid))
+                else:
+                    live.discard(oid)
+        cols[pc] = {rid}
+        pivot_col[rid] = pc
 
-    free_cols = [j for j in range(ncols) if j not in pivots]
+    pivots = set(pivot_col.values())
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [RF_ZERO] * ncols
         v[fc] = RF_ONE
-        for pc, prow in pivots.items():
-            e = prow.get(fc)
-            if e:
-                v[pc] = -e
+        for rid in cols.get(fc, ()):
+            v[pivot_col[rid]] = -rows[rid][fc]
         lead = next(x for x in v if x)
         if lead != RF_ONE:
             v = [x / lead for x in v]

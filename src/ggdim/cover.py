@@ -31,13 +31,18 @@ formulas |X| = n0^(k-1)*d0 (KP) and n0^k (Savin) are asserted against it, and
 the generator description of T(b, rho) is checked by tests rather than taken
 as the definition, so the Generic kind is supported by the same code path.
 
-Orbit enumeration is exhaustive (vectorised over the element table), with
-canonical representatives chosen lexicographically smallest in projected
-coordinates.  The recorded stabilizer is the point stabilizer of the first
-orbit element (in canonical order) whose stabilizer is a standard Young
-subgroup, stored as the composition of its block sizes; orbits where no such
-element exists are flagged instead of guessed (not observed for KP/Savin,
-conceivable for Generic).
+Orbit enumeration is exhaustive (vectorised over the element table) and acts
+only through the k-1 simple reflections s_i: their images of every element
+are computed once, and the canonical representative of an orbit, its
+lexicographically smallest element in projected coordinates, is found by
+propagating minimum codes along those involutions until nothing changes
+(they generate S_k, so the fixed point is the minimum over each orbit).  The
+recorded stabilizer is that of the first orbit element (in canonical order)
+whose stabilizer is a standard Young subgroup, stored as the composition of
+its block sizes.  The s_i fixing an element generate a Young subgroup inside
+its stabilizer, so the stabilizer is Young exactly when that subgroup's order
+is k!/|orbit|.  Orbits where no such element exists are flagged instead of
+guessed (not observed for KP/Savin, conceivable for Generic).
 """
 
 from __future__ import annotations
@@ -53,13 +58,15 @@ from ._intmat import (
     hermite_row_basis, hnf_contains, ident, mat_mul, mat_vec,
     smith_normal_form,
 )
-from .symgroup import all_permutations, young_order
+from .errors import InternalDisagreement
+from .symgroup import simple, young_order
 
 KIND_KP = "kp"
 KIND_SAVIN = "savin"
 KIND_GENERIC = "generic"
 
 DEFAULT_ORBIT_BOUND = 10 ** 6
+MAX_ORBIT_K = 63        # one int64 bit per simple reflection in orbits()
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,10 @@ def derive_params(cov: CoverSpec, ty: TypeSpec) -> DerivedParams:
     n, c, d, l0, r = cov.n, cov.c, cov.d, ty.l0, ty.r
     n0 = n // gcd(n, (2 * c + d) * r0 * l0, d * l0)
     d0 = n // gcd(n, l0 * (2 * c * r + d * r - d))
-    assert n0 % d0 == 0 and n % n0 == 0 and n % d0 == 0
+    if n0 % d0 or n % n0 or n % d0:
+        raise InternalDisagreement(
+            "derived constants violate d0 | n0 | n: n=%d, n0=%d, d0=%d"
+            % (n, n0, d0))
     return DerivedParams(r0=r0, n0=n0, d0=d0)
 
 
@@ -173,7 +183,10 @@ class QuotientGroup:
         self._u = u
         self._uinv = uinv
         self.invariant_factors = tuple(dd[i][i] for i in range(k))
-        assert all(f >= 1 for f in self.invariant_factors)
+        if any(f < 1 for f in self.invariant_factors):
+            raise InternalDisagreement(
+                "Smith form of a full-rank lattice has invariant factors %s"
+                % (self.invariant_factors,))
         self.order = 1
         for f in self.invariant_factors:
             self.order *= f
@@ -218,11 +231,15 @@ def x_lambda(cov: CoverSpec, ty: TypeSpec) -> QuotientGroup:
     basis_rows = [[v[i][j] * mult[j] for i in range(k)] for j in range(k)]
     xg = QuotientGroup(k, basis_rows)
     if cov.kind == KIND_KP:
-        assert xg.order == dp.n0 ** (k - 1) * dp.d0, \
-            "KP order formula violated (implementation bug)"
+        expect = dp.n0 ** (k - 1) * dp.d0
     elif cov.kind == KIND_SAVIN:
-        assert xg.order == dp.n0 ** k, \
-            "Savin order formula violated (implementation bug)"
+        expect = dp.n0 ** k
+    else:
+        return xg
+    if xg.order != expect:
+        raise InternalDisagreement(
+            "%s order formula gives %d, the Smith form %d"
+            % (cov.kind, expect, xg.order))
     return xg
 
 
@@ -242,29 +259,18 @@ class OrbitRecord:
     young: bool
 
 
-def _young_composition_of(stab_words, k: int) -> tuple | None:
-    """Composition if the given permutation set is standard Young, else None."""
-    adjacent = set()
-    for w in stab_words:
-        ol = w.one_line
-        for i in range(1, k):
-            swapped = list(range(1, k + 1))
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            if ol == tuple(swapped):
-                adjacent.add(i)
+def _composition(mask: int, k: int) -> tuple:
+    """Composition of the Young subgroup generated by {s_i : bit i-1 of mask}."""
     parts = []
     run = 1
     for i in range(1, k):
-        if i in adjacent:
+        if mask >> (i - 1) & 1:
             run += 1
         else:
             parts.append(run)
             run = 1
     parts.append(run)
-    comp = tuple(parts)
-    if young_order(comp) == len(stab_words):
-        return comp
-    return None
+    return tuple(parts)
 
 
 def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
@@ -272,13 +278,17 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
 
     Elements are encoded as mixed-radix codes over the invariant factors
     (big-endian, so code order = lexicographic order on projected tuples);
-    each permutation acts through an integer matrix on projected coordinates
-    and the canonical representative of an orbit is its smallest code.
+    each simple reflection acts through an integer matrix on projected
+    coordinates and the canonical representative of an orbit is its smallest
+    code, reached by propagating minima along the simple reflections.
     """
     if xg.order > bound:
         raise ValueError("enumeration bound exceeded: |X| = %d > %d"
                          % (xg.order, bound))
     k = xg.k
+    if k > MAX_ORBIT_K:
+        raise ValueError("orbit enumeration handles k <= %d, got k=%d"
+                         % (MAX_ORBIT_K, k))
     factors = np.array(xg.invariant_factors, dtype=np.int64)
     weights = np.ones(k, dtype=np.int64)
     for i in range(k - 2, -1, -1):
@@ -289,50 +299,50 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
     codes = np.arange(n_el, dtype=np.int64)
     table = (codes[:, None] // weights[None, :]) % factors[None, :]
 
-    perms = all_permutations(k)
-    mats = {w: np.array(xg.perm_matrix(w), dtype=np.int64) for w in perms}
+    # codes of s_i . x; matrix rows reduced mod their output factor keep the
+    # int64 products below k * max(factor)^2
+    imgs = []
+    for i in range(1, k):
+        mat = np.array(xg.perm_matrix(simple(i, k)), dtype=np.int64)
+        mat %= factors[:, None]
+        imgs.append(((table @ mat.T) % factors[None, :]) @ weights)
+
     canon = codes.copy()
-    for w in perms:
-        if w.is_identity():
-            continue
-        img = (table @ mats[w].T) % factors[None, :]
-        np.minimum(canon, img @ weights, out=canon)
-
+    while True:
+        before = canon.copy()
+        for img in imgs:
+            np.minimum(canon, canon[img], out=canon)
+        if np.array_equal(before, canon):
+            break
     reps, counts = np.unique(canon, return_counts=True)
-    order_by_orbit = np.argsort(canon, kind="stable")
-    boundaries = np.searchsorted(canon[order_by_orbit], reps)
+    orbit_of = np.searchsorted(reps, canon)
 
-    def decode(code):
-        return tuple(int(x) for x in (code // weights) % factors)
+    # bit i-1 of fixed[x] says s_i fixes x; the stabilizer of x is Young iff
+    # the subgroup those s_i generate has order k!/|orbit|
+    fixed = np.zeros(n_el, dtype=np.int64)
+    for i, img in enumerate(imgs):
+        fixed |= (img == codes).astype(np.int64) << i
+    masks, mask_of = np.unique(fixed, return_inverse=True)
+    comps = [_composition(mask, k) for mask in masks.tolist()]
+    full = factorial(k)
+    # orbit size a Young stabilizer of each mask implies (0: none fits in X)
+    sizes = (full // young_order(c) for c in comps)
+    young_size = np.array([s if s <= n_el else 0 for s in sizes], dtype=np.int64)
+    young = young_size[mask_of] == counts[orbit_of]
+    # first Young element of each orbit in code order
+    young_orbits, first = np.unique(orbit_of[young], return_index=True)
+    chosen = dict(zip(young_orbits.tolist(), codes[young][first].tolist()))
 
-    def point_stab(x):
-        out = []
-        for w in perms:
-            raw = mats[w] @ np.array(x, dtype=np.int64)
-            if tuple(raw % factors) == x:
-                out.append(w)
-        return out
-
+    rep_digits = ((reps[:, None] // weights[None, :]) % factors[None, :]).tolist()
     records = []
-    for oi, rep_code in enumerate(reps):
-        size = int(counts[oi])
-        members = order_by_orbit[boundaries[oi]:boundaries[oi] + size]
-        comp = None
-        stab_order = factorial(k) // size
-        if stab_order == 1:
-            comp = (1,) * k                # free orbit: trivial = Young
-        else:
-            for ix in members:             # ascending code order within orbit
-                stab = point_stab(decode(codes[ix]))
-                assert len(stab) == stab_order
-                comp = _young_composition_of(stab, k)
-                if comp is not None:
-                    break
+    for oi, size in enumerate(counts.tolist()):
+        code = chosen.get(oi)
+        comp = None if code is None else comps[mask_of[code]]
         records.append(OrbitRecord(
-            representative=decode(int(rep_code)),
+            representative=tuple(rep_digits[oi]),
             size=size,
             stabilizer=comp,
-            stabilizer_order=stab_order,
+            stabilizer_order=full // size,
             young=comp is not None,
         ))
     return records
@@ -348,7 +358,7 @@ def whittaker_dim_closed(cov: CoverSpec, ty: TypeSpec) -> int:
     else:
         raise ValueError("no closed form asserted for kind %r" % (cov.kind,))
     if val.denominator != 1 or val <= 0:
-        raise AssertionError("closed form is not a positive integer: %s" % val)
+        raise InternalDisagreement("closed form is not a positive integer: %s" % val)
     return int(val)
 
 

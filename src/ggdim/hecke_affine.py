@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from ._intmat import hermite_row_basis, hnf_contains, smith_normal_form
 from .coeff import IntPoly, RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
 from .cover import CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, orbits, ord_sum, x_lambda
+from .errors import InternalDisagreement
 from .hecke_finite import (
     FiniteHeckeElement, h0_multiply, hom_to_sign_dim, induced_sign_module,
 )
@@ -314,12 +315,18 @@ def gg_module(cov: CoverSpec, ty: TypeSpec,
     xg = x_lambda(cov, ty)
     lat = lattice_spec(xg.relation_lattice)
     blocks = []
+    modules: dict = {}      # one module per stabilizer composition, shared
     for rec in orbits(xg, bound=bound):
         if rec.stabilizer is None:
             raise ValueError("orbit with non-Young stabilizer: %r" % (rec,))
-        blocks.append((rec, induced_sign_module(ty.k, rec.stabilizer)))
+        mod = modules.get(rec.stabilizer)
+        if mod is None:
+            mod = modules[rec.stabilizer] = induced_sign_module(ty.k, rec.stabilizer)
+        blocks.append((rec, mod))
     gg = GGModule(lattice=lat, blocks=blocks, x_order=xg.order)
-    assert gg.total_rank() == xg.order
+    if gg.total_rank() != xg.order:
+        raise InternalDisagreement(
+            "block ranks sum to %d, |X| = %d" % (gg.total_rank(), xg.order))
     return gg
 
 

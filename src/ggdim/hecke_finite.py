@@ -13,13 +13,21 @@ are plain linear combinations and carry no algebra state.
 For a composition J of k, the parabolic subalgebra H_J is spanned by the T_u
 with u in the Young subgroup W_J, and eps_J denotes its sign character,
 T_u -> (-1)^length(u).  The induced module H_0 tensor_{H_J} eps_J has basis
-{T_x (x) 1 : x a minimal coset representative of x W_J}; the left action is
-computed by multiplying in H_0 and rewriting T_w (x) 1 = (-1)^length(u)
-T_x (x) 1 along the length-additive factorisation w = x*u, u in W_J.
+{T_x (x) 1 : x a minimal coset representative of x W_J}.  Each simple T_s
+acts on that basis by Deodhar's lemma (Humphreys, Reflection Groups and
+Coxeter Groups, section 7; Geck-Pfeiffer, section 2.1):
+
+    T_s . x = q0*sx + (q0-1)*x     if sx < x,
+    T_s . x = sx                   if sx > x and sx is minimal in sx W_J,
+    T_s . x = -x                   otherwise (then sx = x*s' with s' in J),
+
+so a simple reflection costs O(dim), and a general T_w acts letter by letter
+along a reduced word of w.
 
 hom_to_sign_dim computes dim Hom(M, eps) for such a module M, i.e. the space
 of linear functionals f with f(T_s . v) = -f(v) for every simple s, by exact
-kernel computation over Q(q).
+kernel computation over Q(q) on the sparse constraint rows that the rule
+above gives (at most two entries each).
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ from __future__ import annotations
 from math import factorial
 
 from .coeff import RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis
+from .errors import InternalDisagreement
 from .symgroup import (
-    Permutation, identity, length, min_coset_reps, parabolic_decompose,
-    reduced_word, simple, young_order, young_subgroup,
+    Permutation, identity, length, min_coset_reps, reduced_word, simple,
+    young_order, young_subgroup,
 )
 
 RF_MINUS_ONE = RatFunc(-1)
@@ -147,10 +156,21 @@ def sign_value(w: Permutation) -> RatFunc:
     return RF_MINUS_ONE if length(w) % 2 else RF_ONE
 
 
-class InducedSignModule:
-    """H_0 tensor_{H_J} eps_J with its minimal-coset-representative basis."""
+# the three cases of Deodhar's lemma for T_s . x
+DESCENT = 0       # sx < x:            q0*sx + (q0-1)*x
+ASCENT = 1        # sx > x, sx in W^J: sx
+SIGN = 2          # sx > x, sx not in W^J: -x
 
-    __slots__ = ("k", "J", "basis", "dim", "_index", "_Jset")
+
+class InducedSignModule:
+    """H_0 tensor_{H_J} eps_J with its minimal-coset-representative basis.
+
+    simple_action[i-1][n] = (case, target) describes T_{s_i} on basis vector
+    n: case is DESCENT, ASCENT or SIGN, target the index of s_i*x (n itself
+    for SIGN).
+    """
+
+    __slots__ = ("k", "J", "basis", "dim", "simple_action")
 
     def __init__(self, k: int, J):
         J = tuple(J)
@@ -158,11 +178,45 @@ class InducedSignModule:
             raise ValueError("not a composition of %d: %r" % (k, J))
         self.k = k
         self.J = J
-        self._Jset = young_subgroup(J)
-        self.basis = tuple(min_coset_reps(k, self._Jset))
+        self.basis = tuple(min_coset_reps(k, young_subgroup(J)))
         self.dim = len(self.basis)
-        assert self.dim == factorial(k) // young_order(J)
-        self._index = {x: n for n, x in enumerate(self.basis)}
+        if self.dim != factorial(k) // young_order(J):
+            raise InternalDisagreement(
+                "%d minimal coset representatives for J=%s, expected %d"
+                % (self.dim, J, factorial(k) // young_order(J)))
+        index = {x: n for n, x in enumerate(self.basis)}
+        actions = []
+        for i in range(1, k):
+            s = simple(i, k)
+            table = []
+            for n, x in enumerate(self.basis):
+                ol = x.one_line
+                sx = s * x
+                if ol.index(i) > ol.index(i + 1):
+                    table.append((DESCENT, index[sx]))
+                elif sx in index:
+                    table.append((ASCENT, index[sx]))
+                else:
+                    table.append((SIGN, n))
+            actions.append(tuple(table))
+        self.simple_action = tuple(actions)
+
+    def act_simple(self, i: int, vec, q0: RatFunc = RF_Q) -> list:
+        """T_{s_i} applied to a coefficient vector indexed by the basis."""
+        q0m1 = q0 - RF_ONE
+        out = [RF_ZERO] * self.dim
+        for n, (case, j) in enumerate(self.simple_action[i - 1]):
+            c = vec[n]
+            if not c:
+                continue
+            if case == DESCENT:
+                out[j] = out[j] + c * q0
+                out[n] = out[n] + c * q0m1
+            elif case == ASCENT:
+                out[j] = out[j] + c
+            else:
+                out[n] = out[n] - c
+        return out
 
     def __repr__(self):
         return "InducedSignModule(k=%d, J=%s, dim=%d)" % (self.k, self.J, self.dim)
@@ -174,19 +228,21 @@ def induced_sign_module(k: int, J) -> InducedSignModule:
 
 def module_act(h: FiniteHeckeElement, m: InducedSignModule, vec,
                q0: RatFunc = RF_Q) -> list:
-    """Left action of h on a coefficient vector indexed by m.basis."""
+    """Left action of h on a coefficient vector indexed by m.basis.
+
+    T_w = T_{s_a} * ... * T_{s_z} along the reduced word (a, ..., z) of w,
+    so the letters act on the vector right to left.
+    """
     if h.k != m.k:
         raise ValueError("rank mismatch: %d vs %d" % (h.k, m.k))
     if len(vec) != m.dim:
         raise ValueError("vector length %d does not match dim %d" % (len(vec), m.dim))
     out = [RF_ZERO] * m.dim
-    for n, cv in enumerate(vec):
-        if not cv:
-            continue
-        prod = h0_multiply(h, FiniteHeckeElement.basis(m.basis[n]), q0)
-        for w, c in prod.support.items():
-            x, u = parabolic_decompose(w, m._Jset)
-            out[m._index[x]] = out[m._index[x]] + cv * c * sign_value(u)
+    for w, c in h.support.items():
+        cur = list(vec)
+        for i in reversed(reduced_word(w)):
+            cur = m.act_simple(i, cur, q0)
+        out = [a + c * b for a, b in zip(out, cur)]
     return out
 
 
@@ -204,17 +260,16 @@ def action_matrix(m: InducedSignModule, h: FiniteHeckeElement,
 def hom_to_sign_dim(m: InducedSignModule, q0: RatFunc = RF_Q) -> int:
     """dim of {f linear : f(T_s . v) = -f(v) for all simple s}, over Q(q).
 
-    One block of constraints per simple reflection: with A the action matrix
-    of T_s, the functional's coefficient vector f must satisfy
-    (A^T + I) f = 0.
+    One constraint per simple reflection s and basis vector x:
+    f(T_s . x) + f(x) = 0.  By Deodhar's lemma that row is
+    q0*f(sx) + q0*f(x) for a descent, f(sx) + f(x) for an ascent inside W^J,
+    and zero (no constraint) when T_s . x = -x.
     """
     rows = []
-    for i in range(1, m.k):
-        a = action_matrix(m, FiniteHeckeElement.basis(simple(i, m.k)), q0)
-        for x in range(m.dim):
-            row = [a[y][x] for y in range(m.dim)]
-            row[x] = row[x] + RF_ONE
-            rows.append(row)
-    if not rows:        # k = 1: no constraints, every functional qualifies
-        return m.dim
-    return len(kernel_basis(RFMatrix(rows)))
+    for table in m.simple_action:
+        for n, (case, j) in enumerate(table):
+            if case == DESCENT:
+                rows.append({j: q0, n: q0})
+            elif case == ASCENT:
+                rows.append({j: RF_ONE, n: RF_ONE})
+    return len(kernel_basis(RFMatrix.sparse(rows, m.dim)))

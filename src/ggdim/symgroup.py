@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
+from .errors import InternalDisagreement
+
 
 class Permutation:
     """Element of S_k in one-line notation (values 1..k)."""
@@ -197,7 +199,9 @@ def parabolic_decompose(w: Permutation, J):
                 u = s * u
                 moved = True
                 break
-    assert length(w) == length(x) + length(u)
+    if length(w) != length(x) + length(u):
+        raise InternalDisagreement(
+            "w = x*u is not length-additive for w=%r, J=%r" % (w, J))
     return x, u
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from ggdim.cli import SWEEP_COLUMNS, main
 
@@ -194,3 +197,30 @@ def test_verify_json_output(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert all(r["ok"] for r in report["results"])
+
+
+FORCED_DISAGREEMENT = """
+import dataclasses, sys
+from ggdim import cli, cover
+assert False, "asserts must be off under -O"
+real = cover.derive_params
+cover.derive_params = lambda cov, ty: dataclasses.replace(
+    real(cov, ty), d0=real(cov, ty).d0 + 1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_internal_check_survives_optimize_and_exits_2():
+    # x_lambda checks |X| against the KP order formula; skewing d0 in the
+    # formula's input makes that check fail, and it must still fire under -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", FORCED_DISAGREEMENT, "dims", "--kind", "kp",
+         "--n", "4", "--c", "0", "--r", "2", "--k", "2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "internal disagreement" in out.stderr
+    assert "Traceback" not in out.stderr

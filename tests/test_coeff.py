@@ -195,3 +195,86 @@ def test_gcd_properties_random():
             a.divexact(g)
         if not b.is_zero():
             b.divexact(g)
+
+
+def _entry_cost(e):
+    return e.num.degree + e.den.degree
+
+
+def _full_scan_kernel(m):
+    """Reference: the pivot rule by a scan of every entry before each pivot.
+
+    The next pivot minimises (entry cost, row length, column, row position)
+    over all remaining entries; kernel_basis must choose the same pivots from
+    its heap and return exactly this basis.
+    """
+    ncols = m.ncols
+    work = [{j: e for j, e in enumerate(row) if e} for row in m.rows]
+    work = [row for row in work if row]
+    pivots = {}
+    while work:
+        best = None
+        for ri, row in enumerate(work):
+            for col, e in row.items():
+                key = (_entry_cost(e), len(row), col, ri)
+                if best is None or key < best[0]:
+                    best = (key, ri, col)
+        _, ri, pc = best
+        prow = work.pop(ri)
+        pe = prow[pc]
+        prow = {j: e / pe for j, e in prow.items()}
+        for other in list(pivots.values()) + work:
+            if pc in other:
+                f = other.pop(pc)
+                for j, e in prow.items():
+                    if j == pc:
+                        continue
+                    v = other.get(j, RF_ZERO) - f * e
+                    if v:
+                        other[j] = v
+                    else:
+                        other.pop(j, None)
+        work = [row for row in work if row]
+        pivots[pc] = prow
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [RF_ZERO] * ncols
+        v[fc] = RF_ONE
+        for pc, prow in pivots.items():
+            e = prow.get(fc)
+            if e:
+                v[pc] = -e
+        lead = next(x for x in v if x)
+        if lead != RF_ONE:
+            v = [x / lead for x in v]
+        basis.append(tuple(v))
+    return basis
+
+
+def test_kernel_matches_full_scan_pivot_rule():
+    rng = random.Random(4)
+    pool = [RF_ONE, RatFunc(-1), RatFunc(2), RF_Q, RF_Q - RF_ONE, -RF_Q,
+            RF_Q * RF_Q, rf(1, [1, 1]), rf([0, 2], [-1, 1]), rf(3, 2)]
+    for _ in range(400):
+        nr, nc = rng.randint(0, 14), rng.randint(1, 12)
+        rows = []
+        for _ in range(nr):
+            width = rng.choice((1, 2, 2, 2, 3, 4))
+            rows.append({j: rng.choice(pool)
+                         for j in rng.sample(range(nc), min(width, nc))})
+        m = RFMatrix.sparse(rows, nc)
+        expect = _full_scan_kernel(m)
+        assert kernel_basis(m) == expect
+        if nr:              # dense rows carry no width when there are none
+            assert kernel_basis(RFMatrix(m.rows)) == expect
+
+
+def test_sparse_matrix_form():
+    m = RFMatrix.sparse([{2: RF_Q, 0: 1}, {}], 3)
+    assert (m.nrows, m.ncols) == (2, 3)
+    assert m.rows == ((RF_ONE, RF_ZERO, RF_Q), (RF_ZERO, RF_ZERO, RF_ZERO))
+    assert m == RFMatrix(m.rows)
+    with pytest.raises(ValueError):
+        RFMatrix.sparse([{3: RF_ONE}], 3)

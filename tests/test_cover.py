@@ -2,7 +2,9 @@ import itertools
 import random
 from math import factorial, gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggdim._intmat import hermite_row_basis
 from ggdim.cover import (
@@ -10,7 +12,7 @@ from ggdim.cover import (
     in_T_brho, kp_class_test, kp_cover, orbits, ord_sum, savin_cover,
     select_representatives, verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
-from ggdim.symgroup import act, all_permutations, young_order
+from ggdim.symgroup import act, all_permutations, simple, young_order
 
 
 def divisors(n):
@@ -177,6 +179,16 @@ def test_orbits_bound():
         orbits(xg, bound=10)
 
 
+def test_orbits_refuse_k_beyond_mask_width():
+    xg = x_lambda(kp_cover(1, 0), TypeSpec(r=64, k=64, l0=1))
+    assert xg.order == 1
+    with pytest.raises(ValueError):
+        orbits(xg)
+    big = orbits(x_lambda(kp_cover(1, 0), TypeSpec(r=63, k=63, l0=1)))
+    assert [(r.stabilizer, r.stabilizer_order) for r in big] == \
+        [((63,), factorial(63))]
+
+
 def test_orbit_stabilizer_sums():
     for cov, ty in small_sweep(n_max=5, k_max=3):
         xg = x_lambda(cov, ty)
@@ -304,3 +316,67 @@ def test_kp_class_test_matches_ord_exhaustive():
                     continue
                 got = kp_class_test(cov, ty, t1, t2)
                 assert got == ((ord_sum(t1) - ord_sum(t2)) % dp.n0 == 0)
+
+
+def _reference_orbits(xg):
+    """Brute force over all of S_k, kept as the reference for orbits().
+
+    Canonical representative: the smallest code among all k! images.
+    Stabilizer: the point stabilizer, taken over all of S_k, of the first
+    orbit element in code order whose stabilizer is standard Young.
+    """
+    k = xg.k
+    factors = xg.invariant_factors
+    elems = list(itertools.product(*(range(f) for f in factors)))  # code order
+    index = {x: n for n, x in enumerate(elems)}
+    table = np.array(elems, dtype=np.int64).reshape(len(elems), k)
+    perms = all_permutations(k)
+    images = []                     # images[p][n] = code of perms[p] . elems[n]
+    for w in perms:
+        img = (table @ np.array(xg.perm_matrix(w), dtype=np.int64).T) \
+            % np.array(factors, dtype=np.int64)
+        images.append([index[tuple(int(v) for v in row)] for row in img])
+    members = {}
+    for n in range(len(elems)):
+        members.setdefault(min(img[n] for img in images), []).append(n)
+    simples = {simple(i, k): i for i in range(1, k)}
+    records = []
+    for rep in sorted(members):
+        size = len(members[rep])
+        comp = None
+        for n in members[rep]:
+            stab = [w for w, img in zip(perms, images) if img[n] == n]
+            adjacent = {simples[w] for w in stab if w in simples}
+            parts, run = [], 1
+            for i in range(1, k):
+                if i in adjacent:
+                    run += 1
+                else:
+                    parts.append(run)
+                    run = 1
+            parts.append(run)
+            if young_order(parts) == len(stab):
+                comp = tuple(parts)
+                break
+        records.append(OrbitRecord(
+            representative=elems[rep], size=size, stabilizer=comp,
+            stabilizer_order=factorial(k) // size, young=comp is not None))
+    return records
+
+
+@st.composite
+def generic_instances(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    l0 = draw(st.sampled_from(divisors(n)))
+    c = draw(st.integers(-8, 8))
+    d = draw(st.integers(-8, 8))
+    r0 = draw(st.integers(1, 3))
+    return generic_cover(n, c, d), TypeSpec(r=r0 * k, k=k, l0=l0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generic_instances())
+def test_orbits_equal_brute_force_reference(inst):
+    xg = x_lambda(*inst)
+    assert orbits(xg) == _reference_orbits(xg)

@@ -11,7 +11,8 @@ from ggdim.hecke_finite import (
     induced_sign_module, module_act, sign_value,
 )
 from ggdim.symgroup import (
-    all_permutations, identity, length, simple, young_order,
+    all_permutations, identity, length, parabolic_decompose, simple,
+    young_order, young_subgroup,
 )
 
 T = FiniteHeckeElement.basis
@@ -139,6 +140,49 @@ def test_induced_module_bad_composition():
         induced_sign_module(3, (2, 2))
     with pytest.raises(ValueError):
         induced_sign_module(3, (3, 0))
+
+
+def _rewrite_action(h, m, n, q0=RF_Q):
+    """Reference: h . e_n by a full product in H_0, rewritten into the basis.
+
+    Each T_w (x) 1 in h*T_x becomes (-1)^length(u) T_x' (x) 1 along the
+    length-additive factorisation w = x'*u with u in W_J.
+    """
+    jset = young_subgroup(m.J)
+    out = [RF_ZERO] * m.dim
+    prod = h0_multiply(h, T(m.basis[n]), q0)
+    for w, c in prod.support.items():
+        x, u = parabolic_decompose(w, jset)
+        j = m.basis.index(x)
+        out[j] = out[j] + c * sign_value(u)
+    return out
+
+
+def test_deodhar_action_matches_product_rewrite():
+    for q0 in (RF_Q, q_power(2)):
+        for k in range(1, 5):
+            for J in all_compositions(k):
+                m = induced_sign_module(k, J)
+                for i in range(1, k):
+                    for n in range(m.dim):
+                        e = [RF_ZERO] * m.dim
+                        e[n] = RF_ONE
+                        assert m.act_simple(i, e, q0) == \
+                            _rewrite_action(ts(i, k), m, n, q0)
+
+
+def test_module_act_matches_product_rewrite_k4():
+    rng = random.Random(12)
+    k = 4
+    perms = all_permutations(k)
+    for J in all_compositions(k):
+        m = induced_sign_module(k, J)
+        for _ in range(5):
+            h = _random_element(rng, k, perms)
+            for n in range(m.dim):
+                e = [RF_ZERO] * m.dim
+                e[n] = RF_ONE
+                assert module_act(h, m, e) == _rewrite_action(h, m, n)
 
 
 def test_module_act_examples():
