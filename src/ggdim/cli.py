@@ -29,10 +29,11 @@ from .cocycle import FieldElem, FieldModel, hilbert, sigma_cover_torus
 from .coeff import RF_ONE, RF_Q, RatFunc, rf_eval
 from .cover import (
     DEFAULT_ORBIT_BOUND, KIND_GENERIC, KIND_KP, KIND_SAVIN, CoverSpec,
-    TypeSpec, derive_params, generic_cover, kp_cover, orbits, savin_cover,
-    select_representatives, verify_kp_lemma, whittaker_dim_closed, x_lambda,
+    TypeSpec, derive_params, generic_cover, kp_cover, orbit_census, orbits,
+    savin_cover, select_representatives, verify_kp_lemma, whittaker_dim_closed,
+    x_lambda,
 )
-from .errors import InternalDisagreement
+from .errors import InternalDisagreement, WorkLimitExceeded
 from .hecke_affine import (
     AffineHeckeElement, ah_multiply, ah_one, ah_phi, ah_t, bernstein_cross,
     check_twphi_lemma, lattice_for, whittaker_dim_hecke,
@@ -112,7 +113,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def dim_report(cov: CoverSpec, ty: TypeSpec, bound: int) -> dict:
+def dim_report(cov: CoverSpec, ty: TypeSpec, bound: int,
+               na_over_work_limit: bool = False) -> dict:
+    """One dims row.
+
+    A Hecke leg over its work limit raises WorkLimitExceeded, or leaves
+    dim_hecke (and so agree) NA when na_over_work_limit is set.
+    """
     der = derive_params(cov, ty)
     xg = x_lambda(cov, ty)
     row = {"kind": cov.kind, "n": cov.n, "c": cov.c, "d": cov.d,
@@ -127,13 +134,16 @@ def dim_report(cov: CoverSpec, ty: TypeSpec, bound: int) -> dict:
         row["dim_bruteforce"] = None
         row["dim_hecke"] = None
     else:
-        count = len(orbits(xg, bound=bound))
+        count = sum(orbit_census(xg, bound=bound).values())
         row["orbit_count"] = count
         row["dim_bruteforce"] = count
+        row["dim_hecke"] = None
         if cov.kind in (KIND_KP, KIND_SAVIN):
-            row["dim_hecke"] = whittaker_dim_hecke(cov, ty, bound=bound)
-        else:
-            row["dim_hecke"] = None
+            try:
+                row["dim_hecke"] = whittaker_dim_hecke(cov, ty, bound=bound)
+            except WorkLimitExceeded:
+                if not na_over_work_limit:
+                    raise
     dims = (row["dim_closed"], row["dim_bruteforce"], row["dim_hecke"])
     if all(v is not None for v in dims):
         row["agree"] = dims[0] == dims[1] == dims[2]
@@ -223,7 +233,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     for mult in range(1, rmult + 1):
                         for l0 in _divisors(n):
                             ty = TypeSpec(r=mult * k, k=k, l0=l0, f=cfg.f)
-                            rows.append(dim_report(cov, ty, cfg.bound))
+                            rows.append(dim_report(
+                                cov, ty, cfg.bound, na_over_work_limit=True))
     rows.sort(key=lambda row: (row["kind"], row["n"], row["c"], row["d"],
                                row["r"], row["k"], row["l0"]))
     if cfg.output == "json":

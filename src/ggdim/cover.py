@@ -43,11 +43,17 @@ its block sizes.  The s_i fixing an element generate a Young subgroup inside
 its stabilizer, so the stabilizer is Young exactly when that subgroup's order
 is k!/|orbit|.  Orbits where no such element exists are flagged instead of
 guessed (not observed for KP/Savin, conceivable for Generic).
+
+The orbit census (how many orbits carry each stabilizer composition) is a
+function of the relation lattice alone, so orbit_census computes it once per
+process and lattice; orbits() itself is not memoised.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -59,7 +65,7 @@ from ._intmat import (
     smith_normal_form,
 )
 from .errors import InternalDisagreement
-from .symgroup import simple, young_order
+from .symgroup import simple, young_composition, young_order
 
 KIND_KP = "kp"
 KIND_SAVIN = "savin"
@@ -259,18 +265,13 @@ class OrbitRecord:
     young: bool
 
 
-def _composition(mask: int, k: int) -> tuple:
-    """Composition of the Young subgroup generated by {s_i : bit i-1 of mask}."""
-    parts = []
-    run = 1
-    for i in range(1, k):
-        if mask >> (i - 1) & 1:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return tuple(parts)
+def _check_enumerable(xg: QuotientGroup, bound: int) -> None:
+    if xg.order > bound:
+        raise ValueError("enumeration bound exceeded: |X| = %d > %d"
+                         % (xg.order, bound))
+    if xg.k > MAX_ORBIT_K:
+        raise ValueError("orbit enumeration handles k <= %d, got k=%d"
+                         % (MAX_ORBIT_K, xg.k))
 
 
 def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
@@ -282,13 +283,8 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
     coordinates and the canonical representative of an orbit is its smallest
     code, reached by propagating minima along the simple reflections.
     """
-    if xg.order > bound:
-        raise ValueError("enumeration bound exceeded: |X| = %d > %d"
-                         % (xg.order, bound))
+    _check_enumerable(xg, bound)
     k = xg.k
-    if k > MAX_ORBIT_K:
-        raise ValueError("orbit enumeration handles k <= %d, got k=%d"
-                         % (MAX_ORBIT_K, k))
     factors = np.array(xg.invariant_factors, dtype=np.int64)
     weights = np.ones(k, dtype=np.int64)
     for i in range(k - 2, -1, -1):
@@ -323,7 +319,8 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
     for i, img in enumerate(imgs):
         fixed |= (img == codes).astype(np.int64) << i
     masks, mask_of = np.unique(fixed, return_inverse=True)
-    comps = [_composition(mask, k) for mask in masks.tolist()]
+    comps = [young_composition([i for i in range(1, k) if mask >> (i - 1) & 1],
+                               k) for mask in masks.tolist()]
     full = factorial(k)
     # orbit size a Young stabilizer of each mask implies (0: none fits in X)
     sizes = (full // young_order(c) for c in comps)
@@ -346,6 +343,25 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
             young=comp is not None,
         ))
     return records
+
+
+def orbit_census(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> dict:
+    """Number of orbits per stabilizer composition (None: not Young).
+
+    The census depends only on the relation lattice, so it is memoised per
+    process on its HNF basis and filled from one orbits() enumeration; the
+    memo keeps these few counts, never the orbit records.  The bound and
+    k refusals of orbits() run before every lookup.
+    """
+    _check_enumerable(xg, bound)
+    return dict(_lattice_census(xg.relation_lattice))
+
+
+@functools.cache
+def _lattice_census(lattice: tuple) -> tuple:
+    xg = QuotientGroup(len(lattice), lattice)
+    census = Counter(rec.stabilizer for rec in orbits(xg, bound=xg.order))
+    return tuple(census.items())
 
 
 def whittaker_dim_closed(cov: CoverSpec, ty: TypeSpec) -> int:

@@ -27,29 +27,45 @@ phi_{s.t}*T_s plus that lattice part; general products rewrite T_s past
 lattice factors with it, one reduced-word letter at a time.
 
 The Gelfand-Graev module attached to a cover and type decomposes into one
-block per S_k-orbit on X(lambda); each block is the free C[Y]-module on the
-sign module induced from the orbit's stabilizer composition.  Its Whittaker
-dimension is the sum over blocks of dim Hom(block, sign), and a homomorphism
-from C[Y] (x) W to a one-dimensional module is determined by its restriction
-to W, so each block contributes hom_to_sign_dim of its finite part.  (The
-one-dimensional C[Y]-action on the target is a scalar normalisation with no
-effect on dimensions; it is fixed to 1 throughout.)
+summand per S_k-orbit on X(lambda); each is the free C[Y]-module on the sign
+module induced from the orbit's stabilizer composition J.  Orbits with the
+same J give isomorphic summands, so a block is (J, N_J, module): the
+composition, its number of orbits from the lattice's orbit census, and the
+induced module, built once per (k, J).  A homomorphism from C[Y] (x) W to a
+one-dimensional module is determined by its restriction to W, so the
+Whittaker dimension is sum_J N_J * dim Hom(H_0 (x)_{H_J} eps_J, sign), each
+Hom dimension computed once per (k, J, f).  (The one-dimensional
+C[Y]-action on the target is a scalar normalisation with no effect on
+dimensions; it is fixed to 1 throughout.)  Before any module is built the
+Hecke leg's kernel width, sum over the distinct J of k!/|W_J| columns, is
+checked against MAX_HECKE_COLUMNS.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from math import factorial
 
 from ._intmat import hermite_row_basis, hnf_contains, smith_normal_form
 from .coeff import IntPoly, RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
-from .cover import CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, orbits, ord_sum, x_lambda
-from .errors import InternalDisagreement
-from .hecke_finite import (
-    FiniteHeckeElement, h0_multiply, hom_to_sign_dim, induced_sign_module,
+from .cover import (
+    CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, orbit_census, ord_sum, x_lambda,
 )
-from .symgroup import Permutation, act, identity, length, reduced_word, simple
+from .errors import InternalDisagreement, WorkLimitExceeded
+from .hecke_finite import (
+    RF_MINUS_ONE, FiniteHeckeElement, h0_multiply, induced_sign_module,
+    sign_hom_dim,
+)
+from .symgroup import (
+    Permutation, act, identity, length, reduced_word, simple, young_order,
+)
 
-RF_MINUS_ONE = RatFunc(-1)
+# largest kernel width (sum over the distinct stabilizer compositions J of
+# k!/|W_J| columns) the Hecke leg takes on.  KP n=4, k=7 needs 6133 columns
+# and its whole dims run takes about 4 s; the free module of S_7 alone, 5040
+# columns, takes about 10 s, so the width is only a proxy for the cost.
+MAX_HECKE_COLUMNS = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -64,8 +80,15 @@ class LatticeSpec:
 
 
 def lattice_spec(rows) -> LatticeSpec:
-    """Build a LatticeSpec from generating rows, validating the invariants."""
-    basis = hermite_row_basis(rows)
+    """Build a LatticeSpec from generating rows, validating the invariants.
+
+    Memoised per process on the HNF basis of the rows.
+    """
+    return _lattice_spec(hermite_row_basis(rows))
+
+
+@functools.cache
+def _lattice_spec(basis: tuple) -> LatticeSpec:
     if not basis:
         raise ValueError("empty lattice")
     k = len(basis[0])
@@ -298,31 +321,32 @@ def ah_multiply(a: AffineHeckeElement, b: AffineHeckeElement,
 
 @dataclass
 class GGModule:
-    """Block data of the Gelfand-Graev module: one block per orbit."""
+    """Block data of the Gelfand-Graev module: one block per stabilizer type."""
     lattice: LatticeSpec
-    blocks: list          # (OrbitRecord, InducedSignModule) pairs
+    blocks: list          # (composition J, orbit count N_J, InducedSignModule)
     x_order: int
 
     def total_rank(self) -> int:
-        return sum(m.dim for _o, m in self.blocks)
+        return sum(mult * m.dim for _J, mult, m in self.blocks)
 
 
 def gg_module(cov: CoverSpec, ty: TypeSpec,
               bound: int = DEFAULT_ORBIT_BOUND) -> GGModule:
-    """The block decomposition over the orbits of X(lambda)."""
+    """The block decomposition over the orbit census of X(lambda)."""
     if cov.kind not in ("kp", "savin"):
         raise ValueError("module decomposition asserted only for KP/Savin")
     xg = x_lambda(cov, ty)
+    census = orbit_census(xg, bound=bound)
+    if None in census:
+        raise ValueError("%d orbits with a non-Young stabilizer" % census[None])
+    width = sum(factorial(ty.k) // young_order(J) for J in census)
+    if width > MAX_HECKE_COLUMNS:
+        raise WorkLimitExceeded(
+            "the Hecke leg needs kernels of %d columns in all, over the "
+            "limit of %d" % (width, MAX_HECKE_COLUMNS))
     lat = lattice_spec(xg.relation_lattice)
-    blocks = []
-    modules: dict = {}      # one module per stabilizer composition, shared
-    for rec in orbits(xg, bound=bound):
-        if rec.stabilizer is None:
-            raise ValueError("orbit with non-Young stabilizer: %r" % (rec,))
-        mod = modules.get(rec.stabilizer)
-        if mod is None:
-            mod = modules[rec.stabilizer] = induced_sign_module(ty.k, rec.stabilizer)
-        blocks.append((rec, mod))
+    blocks = [(J, mult, induced_sign_module(ty.k, J))
+              for J, mult in census.items()]
     gg = GGModule(lattice=lat, blocks=blocks, x_order=xg.order)
     if gg.total_rank() != xg.order:
         raise InternalDisagreement(
@@ -332,17 +356,9 @@ def gg_module(cov: CoverSpec, ty: TypeSpec,
 
 def whittaker_dim_hecke(cov: CoverSpec, ty: TypeSpec,
                         bound: int = DEFAULT_ORBIT_BOUND) -> int:
-    """Sum of Hom-to-sign dimensions over the blocks of the module."""
+    """Sum of Hom-to-sign dimensions over the blocks, weighted by orbit count."""
     gg = gg_module(cov, ty, bound=bound)
-    q0 = q_power(ty.f)
-    cache: dict = {}
-    total = 0
-    for _rec, mod in gg.blocks:
-        key = (mod.k, mod.J)
-        if key not in cache:
-            cache[key] = hom_to_sign_dim(mod, q0)
-        total += cache[key]
-    return total
+    return sum(mult * sign_hom_dim(ty.k, J, ty.f) for J, mult, _m in gg.blocks)
 
 
 @dataclass

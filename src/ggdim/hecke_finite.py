@@ -28,13 +28,20 @@ hom_to_sign_dim computes dim Hom(M, eps) for such a module M, i.e. the space
 of linear functionals f with f(T_s . v) = -f(v) for every simple s, by exact
 kernel computation over Q(q) on the sparse constraint rows that the rule
 above gives (at most two entries each).
+
+induced_sign_module memoises the module on (k, J) and sign_hom_dim its Hom
+dimension on (k, J, f) for the life of the process; their cache_info()
+counts hits and misses and cache_clear() empties them.
 """
 
 from __future__ import annotations
 
+import functools
 from math import factorial
 
-from .coeff import RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis
+from .coeff import (
+    RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis, q_power,
+)
 from .errors import InternalDisagreement
 from .symgroup import (
     Permutation, identity, length, min_coset_reps, reduced_word, simple,
@@ -222,7 +229,9 @@ class InducedSignModule:
         return "InducedSignModule(k=%d, J=%s, dim=%d)" % (self.k, self.J, self.dim)
 
 
-def induced_sign_module(k: int, J) -> InducedSignModule:
+@functools.cache
+def induced_sign_module(k: int, J: tuple) -> InducedSignModule:
+    """The module for (k, J), built once per process (J a tuple)."""
     return InducedSignModule(k, J)
 
 
@@ -273,3 +282,9 @@ def hom_to_sign_dim(m: InducedSignModule, q0: RatFunc = RF_Q) -> int:
             elif case == ASCENT:
                 rows.append({j: RF_ONE, n: RF_ONE})
     return len(kernel_basis(RFMatrix.sparse(rows, m.dim)))
+
+
+@functools.cache
+def sign_hom_dim(k: int, J: tuple, f: int) -> int:
+    """dim Hom(H_0 tensor_{H_J} eps_J, sign) at q0 = q^f, once per process."""
+    return hom_to_sign_dim(induced_sign_module(k, J), q_power(f))

@@ -146,6 +146,20 @@ def young_subgroup(c) -> frozenset:
     return frozenset(i for i in range(1, k) if i not in cuts)
 
 
+def young_composition(J, k: int) -> tuple:
+    """The composition of k whose Young subgroup the simple indices J generate."""
+    J = set(J)
+    parts, run = [], 1
+    for i in range(1, k):
+        if i in J:
+            run += 1
+        else:
+            parts.append(run)
+            run = 1
+    parts.append(run)
+    return tuple(parts)
+
+
 def young_order(c) -> int:
     """Order of the Young subgroup for a composition."""
     out = 1
@@ -174,13 +188,28 @@ def subgroup_elements(k: int, J) -> list:
 def min_coset_reps(k: int, J) -> list:
     """Minimal-length representatives of the cosets x W_J, sorted by length.
 
-    x is minimal in x W_J iff x(j) < x(j+1) for every j in J.
+    Ties are broken by one-line form.  x is minimal in x W_J iff
+    x(j) < x(j+1) for every j in J, i.e. its one-line form increases on each
+    block of the composition that J cuts 1..k into.  The representatives are
+    therefore the ordered set partitions of the values 1..k into blocks of
+    those sizes (Bjorner-Brenti, Combinatorics of Coxeter Groups, section
+    2.4), generated directly instead of by filtering all k! permutations.
     """
-    J = set(J)
-    reps = [x for x in all_permutations(k)
-            if all(x(j) < x(j + 1) for j in J)]
+    reps = [Permutation(ol) for ol in _ordered_set_partitions(
+        tuple(range(1, k + 1)), young_composition(J, k))]
     reps.sort(key=lambda w: (length(w), w.one_line))
     return reps
+
+
+def _ordered_set_partitions(values: tuple, sizes: tuple):
+    """Concatenations of increasing blocks of the given sizes that use every value once."""
+    if not sizes:
+        yield ()
+        return
+    for block in itertools.combinations(values, sizes[0]):
+        rest = tuple(v for v in values if v not in block)
+        for tail in _ordered_set_partitions(rest, sizes[1:]):
+            yield block + tail
 
 
 def parabolic_decompose(w: Permutation, J):

@@ -224,3 +224,60 @@ def test_internal_check_survives_optimize_and_exits_2():
     assert out.stdout == ""
     assert "internal disagreement" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_dims_k10_trivial_group_is_fast():
+    # |X| = 1 and one 1-dimensional module: no pass over the 10! permutations
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "ggdim.cli", "dims", "--kind", "kp", "--n", "1",
+         "--r", "10", "--k", "10", "--output", "json"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    row = json.loads(out.stdout)
+    assert row["x_order"] == 1 and row["dim_hecke"] == 1
+    assert row["agree"] is True
+
+
+def test_dims_refuses_hecke_leg_over_work_limit(capsys, monkeypatch):
+    # KP n=4, k=8: |X| = 65536 is within --bound, but its 64 stabilizer
+    # types need 46875 kernel columns; the refusal comes from the census
+    # alone, before any module is built
+    from ggdim import hecke_affine
+
+    def refuse(k, J):
+        raise AssertionError("module (%d, %s) built" % (k, J))
+
+    monkeypatch.setattr(hecke_affine, "induced_sign_module", refuse)
+    code, out, err = run(capsys, ["dims", "--kind", "kp", "--n", "4",
+                                  "--r", "8", "--k", "8"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "46875" in err
+
+
+def test_sweep_marks_hecke_cell_na_over_work_limit(capsys, monkeypatch):
+    from ggdim import hecke_affine
+    argv = ["sweep", "--kind", "savin", "--n", "4", "--k", "3",
+            "--output", "json"]
+    _, out, _ = run(capsys, argv)
+    full = json.loads(out)
+    # only k = 3, l0 = 1 at n = 3 and n = 4 need more than 6 kernel columns:
+    # J in {(3,), (2, 1), (1, 2), (1, 1, 1)} gives 1 + 3 + 3 + 6 = 13, and
+    # J in {(3,), (2, 1), (1, 2)} gives 7
+    monkeypatch.setattr(hecke_affine, "MAX_HECKE_COLUMNS", 6)
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    limited = json.loads(out)
+    assert len(limited) == len(full)
+    refused = [(row["n"], row["k"], row["l0"]) for row in limited
+               if row["dim_hecke"] is None]
+    assert refused == [(3, 3, 1), (4, 3, 1)]
+    for row, ref in zip(limited, full):
+        if row["dim_hecke"] is None:
+            assert row["agree"] is None
+            assert dict(row, dim_hecke=ref["dim_hecke"], agree=True) == ref
+        else:
+            assert row == ref

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import factorial, gcd
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ggdim._intmat import hermite_row_basis
 from ggdim.cover import (
     CoverSpec, OrbitRecord, TypeSpec, derive_params, generic_cover,
-    in_T_brho, kp_class_test, kp_cover, orbits, ord_sum, savin_cover,
-    select_representatives, verify_kp_lemma, whittaker_dim_closed, x_lambda,
+    _lattice_census, in_T_brho, kp_class_test, kp_cover, orbit_census, orbits,
+    ord_sum, savin_cover, select_representatives, verify_kp_lemma,
+    whittaker_dim_closed, x_lambda,
 )
 from ggdim.symgroup import act, all_permutations, simple, young_order
 
@@ -380,3 +382,37 @@ def generic_instances(draw):
 def test_orbits_equal_brute_force_reference(inst):
     xg = x_lambda(*inst)
     assert orbits(xg) == _reference_orbits(xg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generic_instances())
+def test_census_counts_orbit_stabilizers(inst):
+    xg = x_lambda(*inst)
+    assert orbit_census(xg) == Counter(rec.stabilizer for rec in orbits(xg))
+
+
+def test_census_is_shared_by_equal_lattices():
+    # KP n=3, the Savin cover n=3 and KP n=6 with l0 = 2 all have the
+    # relation lattice 3Z^2
+    pairs = [(kp_cover(3, 0), TypeSpec(r=2, k=2, l0=1)),
+             (savin_cover(3), TypeSpec(r=2, k=2, l0=1)),
+             (kp_cover(6, 0), TypeSpec(r=2, k=2, l0=2))]
+    groups = [x_lambda(cov, ty) for cov, ty in pairs]
+    assert {xg.relation_lattice for xg in groups} == {((3, 0), (0, 3))}
+    _lattice_census.cache_clear()
+    censuses = [orbit_census(xg) for xg in groups]
+    assert censuses[0] == censuses[1] == censuses[2] == {(2,): 3, (1, 1): 3}
+    info = _lattice_census.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    censuses[0][(2,)] = 99          # a caller's copy, not the memo
+    assert orbit_census(groups[1]) == {(2,): 3, (1, 1): 3}
+
+
+def test_census_memo_hit_still_refuses():
+    xg = x_lambda(kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1))
+    assert sum(orbit_census(xg).values()) == 10
+    with pytest.raises(ValueError, match="bound"):
+        orbit_census(xg, bound=10)
+    wide = x_lambda(kp_cover(1, 0), TypeSpec(r=64, k=64, l0=1))
+    with pytest.raises(ValueError, match="k <= 63"):
+        orbit_census(wide)

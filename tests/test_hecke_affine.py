@@ -1,19 +1,24 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from ggdim import cover, hecke_affine
 from ggdim.coeff import RF_ONE, RF_Q, RatFunc, q_power
 from ggdim.cover import (
-    TypeSpec, derive_params, kp_cover, orbits, savin_cover,
+    TypeSpec, _lattice_census, derive_params, kp_cover, orbits, savin_cover,
     whittaker_dim_closed, x_lambda,
 )
+from ggdim.errors import InternalDisagreement
 from ggdim.hecke_affine import (
-    AffineHeckeElement, LatticeSpec, ah_multiply, ah_one, ah_phi, ah_t,
-    bernstein_cross, check_twphi_lemma, gg_module, lattice_for, lattice_spec,
-    whittaker_dim_hecke,
+    AffineHeckeElement, LatticeSpec, _lattice_spec, ah_multiply, ah_one,
+    ah_phi, ah_t, bernstein_cross, check_twphi_lemma, gg_module, lattice_for,
+    lattice_spec, whittaker_dim_hecke,
 )
-from ggdim.hecke_finite import FiniteHeckeElement, h0_multiply
+from ggdim.hecke_finite import (
+    FiniteHeckeElement, h0_multiply, induced_sign_module, sign_hom_dim,
+)
 from ggdim.symgroup import (
     Permutation, all_permutations, identity, simple,
 )
@@ -219,23 +224,24 @@ def test_ah_multiply_lattice_mismatch():
 
 def test_gg_module_golden_kp():
     gg = gg_module(kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1))
-    assert len(gg.blocks) == 10
+    assert sum(mult for _J, mult, _m in gg.blocks) == 10     # orbits
     assert gg.total_rank() == 16
     assert gg.x_order == 16
 
 
 def test_gg_module_golden_savin():
     gg = gg_module(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
-    assert len(gg.blocks) == 3
-    assert [m.dim for _o, m in gg.blocks] == [1, 2, 1]
+    # three orbits, of ranks 1, 2, 1
+    assert [(J, mult, m.dim) for J, mult, m in gg.blocks] == \
+        [((2,), 2, 1), ((1, 1), 1, 2)]
     assert gg.total_rank() == 4
 
 
 def test_gg_module_trivial_cover():
     gg = gg_module(kp_cover(1, 0), TypeSpec(r=4, k=4, l0=1))
     assert len(gg.blocks) == 1
-    rec, mod = gg.blocks[0]
-    assert rec.stabilizer == (4,)
+    J, mult, mod = gg.blocks[0]
+    assert (J, mult) == ((4,), 1)
     assert mod.dim == 1
     assert gg.total_rank() == 1
 
@@ -252,18 +258,77 @@ def test_whittaker_dim_hecke_goldens():
     assert whittaker_dim_hecke(kp_cover(1, 0), TypeSpec(r=3, k=3, l0=1)) == 1
 
 
-def test_triple_agreement_small():
+def small_cases():
     cases = []
     for n in (1, 2, 3, 4):
         for k in (1, 2, 3):
             for c in range(n):
                 cases.append((kp_cover(n, c), TypeSpec(r=k, k=k, l0=1)))
             cases.append((savin_cover(n), TypeSpec(r=2 * k, k=k, l0=1)))
-    for cov, ty in cases:
+    return cases
+
+
+def clear_memos():
+    for memo in (_lattice_census, _lattice_spec, induced_sign_module,
+                 sign_hom_dim):
+        memo.cache_clear()
+
+
+def test_triple_agreement_small():
+    for cov, ty in small_cases():
         closed = whittaker_dim_closed(cov, ty)
         brute = len(orbits(x_lambda(cov, ty)))
         hecke = whittaker_dim_hecke(cov, ty)
         assert closed == brute == hecke
+
+
+def test_cold_and_warm_memos_give_equal_results():
+    for f in (1, 2):
+        cold = []
+        for cov, ty in small_cases():
+            ty = TypeSpec(r=ty.r, k=ty.k, l0=ty.l0, f=f)
+            clear_memos()
+            cold.append(whittaker_dim_hecke(cov, ty))
+        warm = [whittaker_dim_hecke(cov, TypeSpec(r=ty.r, k=ty.k, l0=ty.l0, f=f))
+                for cov, ty in small_cases()]
+        assert warm == cold
+        assert warm == [whittaker_dim_closed(cov, ty) for cov, ty in small_cases()]
+    assert sign_hom_dim.cache_info().hits > 0
+
+
+def test_hom_memo_keys_f_separately():
+    clear_memos()
+    assert sign_hom_dim(3, (2, 1), 1) == sign_hom_dim(3, (2, 1), 2) == 1
+    info = sign_hom_dim.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert induced_sign_module.cache_info().misses == 1      # one module
+    assert sign_hom_dim(3, (2, 1), 2) == 1
+    assert sign_hom_dim.cache_info().hits == 1
+
+
+def test_memo_hits_keep_the_per_instance_checks(monkeypatch):
+    cov, ty = kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1)
+    assert whittaker_dim_hecke(cov, ty) == 10           # memos warm
+    real_census = cover.orbit_census
+
+    def skewed(extra):
+        return lambda xg, bound: {**real_census(xg, bound), **extra}
+
+    # block ranks must still sum to |X|
+    monkeypatch.setattr(hecke_affine, "orbit_census", skewed({(2,): 5}))
+    with pytest.raises(InternalDisagreement):
+        gg_module(cov, ty)
+    # a non-Young stabilizer is still refused
+    monkeypatch.setattr(hecke_affine, "orbit_census", skewed({None: 1}))
+    with pytest.raises(ValueError, match="non-Young"):
+        gg_module(cov, ty)
+    monkeypatch.setattr(hecke_affine, "orbit_census", real_census)
+    # x_lambda's order-formula check still runs
+    real_params = cover.derive_params
+    monkeypatch.setattr(cover, "derive_params", lambda c, t: dataclasses.replace(
+        real_params(c, t), d0=real_params(c, t).d0 + 1))
+    with pytest.raises(InternalDisagreement):
+        whittaker_dim_hecke(cov, ty)
 
 
 def test_twphi_identity_w():

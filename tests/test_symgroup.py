@@ -7,7 +7,7 @@ import pytest
 from ggdim.symgroup import (
     Permutation, act, all_permutations, compose_word, identity, length,
     min_coset_reps, parabolic_decompose, reduced_word, simple,
-    subgroup_elements, young_order, young_subgroup,
+    subgroup_elements, young_composition, young_order, young_subgroup,
 )
 
 
@@ -148,3 +148,32 @@ def test_inverse_and_compose():
     for w in all_permutations(4):
         assert (w * w.inverse()).is_identity()
         assert w.inverse().inverse() == w
+
+
+def _filtered_coset_reps(k, J):
+    """The former rule, kept as the reference: filter all of S_k."""
+    reps = [x for x in all_permutations(k)
+            if all(x(j) < x(j + 1) for j in J)]
+    reps.sort(key=lambda w: (length(w), w.one_line))
+    return reps
+
+
+def test_min_coset_reps_equal_filter_of_all_permutations():
+    for k in range(1, 7):
+        for cuts in itertools.product((False, True), repeat=k - 1):
+            J = {i for i, cut in enumerate(cuts, 1) if not cut}
+            assert young_subgroup(young_composition(J, k)) == J
+            assert min_coset_reps(k, J) == _filtered_coset_reps(k, J)
+
+
+def test_min_coset_reps_never_enumerate_s_k(monkeypatch):
+    from ggdim import symgroup
+    from ggdim.hecke_finite import InducedSignModule
+
+    def refuse(k):
+        raise AssertionError("all_permutations(%d) called" % k)
+
+    monkeypatch.setattr(symgroup, "all_permutations", refuse)
+    m = InducedSignModule(12, (12,))
+    assert m.dim == 1 and m.basis == (identity(12),)
+    assert len(min_coset_reps(9, young_subgroup((3, 3, 3)))) == 1680
