@@ -23,16 +23,22 @@ Polynomial gcds use the primitive Euclidean algorithm (primitive part after
 each pseudo-remainder).  Degrees stay tiny in this application; no need for
 subresultants.
 
-kernel_basis does Gauss-Jordan elimination over Q(q) on sparse rows with a
-cheapest-pivot heuristic: the next pivot is the entry with the smallest key
-(entry cost = numerator degree + denominator degree, row length, column,
-original row order).  A heap holds those keys, refreshed whenever a row
-changes and checked against the row when popped, and a column -> rows index
-names the rows each pivot touches, so a pivot step costs only the rows it
-eliminates from instead of a scan of every entry.  The homomorphism-space
-computations in the Hecke modules feed it systems that are large but very
-sparse (at most two entries per row), and the heuristic keeps fill-in
-negligible.
+kernel_basis eliminates over Q(q) on sparse rows with a cheapest-pivot
+heuristic: the next pivot is the entry with the smallest key (entry cost =
+size of numerator plus size of denominator, row length, column, original row
+order).  A heap holds those keys, refreshed whenever a row changes and
+checked against the row when popped, and a column -> rows index names the
+live rows each pivot touches, so a pivot step costs only the rows it
+eliminates from instead of a scan of every entry.  Elimination is forward
+only: a pivot clears its column from the live rows, not from the earlier
+pivot rows, and one back-substitution pass, latest pivot first, brings the
+pivot rows to reduced form at the end.  A pivot row never re-enters a live
+row, so the pivots and the basis are those of full Gauss-Jordan elimination
+with the same rule.  The homomorphism-space computations in the Hecke
+modules feed it systems that are large but very sparse (at most two entries
+per row).  Their cost is the number of row updates, each a few RatFunc
+operations, and it grows quadratically with the width in a bad column order
+(see hecke_finite.hom_to_sign_dim).
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ class IntPoly:
         self.coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _of(coeffs: tuple) -> "IntPoly":
+        """Wrap a tuple of ints with no trailing zero, unchecked."""
+        p = IntPoly.__new__(IntPoly)
+        p.coeffs = coeffs
+        return p
 
     @staticmethod
     def const(c: int) -> "IntPoly":
@@ -100,10 +113,12 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        while out and not out[-1]:
+            out.pop()
+        return IntPoly._of(tuple(out))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
@@ -112,15 +127,22 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return P_ZERO
+        # both nonzero, so the leading coefficient of the product is too
+        if len(a) == 1:
+            return other.scale(a[0])
+        if len(b) == 1:
+            return self.scale(b[0])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly._of(tuple(out))
 
     def scale(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * x for x in self.coeffs))
+        if not c:
+            return P_ZERO
+        return IntPoly._of(tuple(c * x for x in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -247,7 +269,7 @@ class RatFunc:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        if den == P_ONE:
+        if den.coeffs == (1,):
             self.num = num
             self.den = den
             return
@@ -273,7 +295,7 @@ class RatFunc:
 
     def __add__(self, other):
         other = _coerce(other)
-        if self.den == P_ONE and other.den == P_ONE:
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
             out = RatFunc.__new__(RatFunc)
             out.num = self.num + other.num
             out.den = P_ONE
@@ -297,7 +319,7 @@ class RatFunc:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if self.den == P_ONE and other.den == P_ONE:
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
             out = RatFunc.__new__(RatFunc)
             out.num = self.num * other.num
             out.den = P_ONE
@@ -436,7 +458,8 @@ class RFMatrix:
 
 
 def _entry_cost(e: RatFunc) -> int:
-    return e.num.degree + e.den.degree
+    # the degree sum plus 2, read without the degree property
+    return len(e.num.coeffs) + len(e.den.coeffs)
 
 
 def kernel_basis(m) -> list:
@@ -452,7 +475,7 @@ def kernel_basis(m) -> list:
     ncols = m.ncols
     # row id = position among the nonzero rows, the last tie-break of a key
     rows = [dict(row) for row in m.entries if row]
-    cols: dict[int, set] = {}       # column -> ids of rows nonzero there
+    cols: dict[int, set] = {}       # column -> ids of live rows nonzero there
     heap = []
     for rid, row in enumerate(rows):
         for j, e in row.items():
@@ -460,7 +483,7 @@ def kernel_basis(m) -> list:
             heap.append((_entry_cost(e), len(row), j, rid))
     heapq.heapify(heap)
     live = set(range(len(rows)))    # nonzero rows not yet used as pivots
-    pivot_col: dict[int, int] = {}  # pivot row id -> its pivot column
+    pivots = []                     # (pivot column, pivot row), in pivot order
 
     while live:
         cost, ln, pc, rid = heapq.heappop(heap)
@@ -472,12 +495,12 @@ def kernel_basis(m) -> list:
         if pe is None or _entry_cost(pe) != cost:
             continue
         live.discard(rid)
-        prow = {j: e / pe for j, e in prow.items()}
-        rows[rid] = prow
-        # eliminate pc from every other row, existing pivot rows included
-        for oid in cols[pc]:
-            if oid == rid:
-                continue
+        rows[rid] = prow = {j: e / pe for j, e in prow.items()}
+        for j in prow:
+            cols[j].discard(rid)
+        pivots.append((pc, prow))
+        # eliminate pc from the live rows only; no later fill-in reaches pc
+        for oid in cols.pop(pc):
             other = rows[oid]
             nf = -other.pop(pc)
             for j, e in prow.items():
@@ -486,7 +509,7 @@ def kernel_basis(m) -> list:
                 x = other.get(j)
                 if x is None:               # fill-in: nonzero, as nf and e are
                     other[j] = nf * e
-                    cols.setdefault(j, set()).add(oid)
+                    cols[j].add(oid)
                     continue
                 v = x + nf * e
                 if v:
@@ -494,24 +517,42 @@ def kernel_basis(m) -> list:
                 else:
                     del other[j]
                     cols[j].discard(oid)
-            if oid in live:
-                if other:
-                    for j, e in other.items():
-                        heapq.heappush(heap, (_entry_cost(e), len(other), j, oid))
-                else:
-                    live.discard(oid)
-        cols[pc] = {rid}
-        pivot_col[rid] = pc
+            if other:
+                for j, e in other.items():
+                    heapq.heappush(heap, (_entry_cost(e), len(other), j, oid))
+            else:
+                live.discard(oid)
 
-    pivots = set(pivot_col.values())
+    # back-substitution, latest pivot first: a pivot row holds no earlier
+    # pivot column, and the later pivot rows it refers to are reduced already
+    reduced: dict[int, dict] = {}   # pivot column -> reduced pivot row
+    for pc, prow in reversed(pivots):
+        for lc in [j for j in prow if j in reduced]:
+            nf = -prow.pop(lc)
+            for j, e in reduced[lc].items():
+                if j == lc:
+                    continue
+                x = prow.get(j)
+                v = nf * e if x is None else x + nf * e
+                if v:
+                    prow[j] = v
+                else:
+                    del prow[j]
+        reduced[pc] = prow
+
+    refs: dict[int, list] = {}      # free column -> (pivot column, entry)
+    for pc, prow in reduced.items():
+        for j, e in prow.items():
+            if j != pc:
+                refs.setdefault(j, []).append((pc, e))
     basis = []
     for fc in range(ncols):
-        if fc in pivots:
+        if fc in reduced:
             continue
         v = [RF_ZERO] * ncols
         v[fc] = RF_ONE
-        for rid in cols.get(fc, ()):
-            v[pivot_col[rid]] = -rows[rid][fc]
+        for pc, e in refs.get(fc, ()):
+            v[pc] = -e
         lead = next(x for x in v if x)
         if lead != RF_ONE:
             v = [x / lead for x in v]

@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggdim.coeff import (
     IntPoly, RatFunc, RFMatrix, P_ONE, P_Q, RF_ONE, RF_ZERO, RF_Q,
     kernel_basis, poly_gcd, q_power, rf_arith, rf_eval,
 )
+from ggdim.hecke_finite import ASCENT, DESCENT, induced_sign_module
 
 
 def rf(num, den=1):
@@ -269,6 +272,104 @@ def test_kernel_matches_full_scan_pivot_rule():
         assert kernel_basis(m) == expect
         if nr:              # dense rows carry no width when there are none
             assert kernel_basis(RFMatrix(m.rows)) == expect
+
+
+def _compositions(k):
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        yield tuple(parts + [run])
+
+
+def _hom_system(m, q0, longest_first):
+    """The Hom-to-sign rows of hom_to_sign_dim, in either column order."""
+    col = (lambda n: m.dim - 1 - n) if longest_first else (lambda n: n)
+    rows = []
+    for table in m.simple_action:
+        for n, (case, j) in enumerate(table):
+            if case == DESCENT:
+                rows.append({col(j): q0, col(n): q0})
+            elif case == ASCENT:
+                rows.append({col(j): RF_ONE, col(n): RF_ONE})
+    return RFMatrix.sparse(rows, m.dim)
+
+
+def test_kernel_matches_full_scan_on_hom_systems():
+    for k in range(1, 6):
+        for J in _compositions(k):
+            m = induced_sign_module(k, J)
+            for f in (1, 2):
+                for longest_first in (False, True):
+                    system = _hom_system(m, q_power(f), longest_first)
+                    assert kernel_basis(system) == _full_scan_kernel(system)
+
+
+def test_kernel_matches_full_scan_with_scalar_twins():
+    # Each twin is a scalar multiple of an earlier row, as a Deodhar DESCENT
+    # row is q0 times its ASCENT twin, so rows cancel while the pivot rows
+    # keep entries in later pivot columns until the back-substitution.
+    rng = random.Random(17)
+    pool = [RF_ONE, RatFunc(-1), RatFunc(2), RF_Q, RF_Q - RF_ONE, -RF_Q,
+            RF_Q * RF_Q, rf(1, [1, 1]), rf([0, 2], [-1, 1]), rf(3, 2)]
+    for _ in range(200):
+        nc = rng.randint(2, 12)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            if rows and rng.random() < 0.4:
+                c = rng.choice(pool)
+                rows.append({j: c * e for j, e in rng.choice(rows).items()})
+            else:
+                width = rng.choice((2, 2, 2, 3))
+                rows.append({j: rng.choice(pool)
+                             for j in rng.sample(range(nc), min(width, nc))})
+        rng.shuffle(rows)
+        m = RFMatrix.sparse(rows, nc)
+        assert kernel_basis(m) == _full_scan_kernel(m)
+
+
+def _canonical_poly(p):
+    return ((not p.coeffs or p.coeffs[-1] != 0)
+            and all(type(c) is int for c in p.coeffs)
+            and p == IntPoly(list(p.coeffs)))
+
+
+int_polys = st.lists(st.integers(-6, 6), max_size=5).map(IntPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, st.integers(-4, 4))
+def test_intpoly_results_are_normalised(a, b, c):
+    for x in (-2, 3):
+        assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
+        assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+        assert a.scale(c).eval_at(x) == c * a.eval_at(x)
+        assert (-a).eval_at(x) == -a.eval_at(x)
+    for p in (-a, a * b, a.scale(c), a + b):
+        assert _canonical_poly(p)
+
+
+def _canonical_ratfunc(r):
+    g = poly_gcd(r.num, r.den)
+    return (_canonical_poly(r.num) and _canonical_poly(r.den)
+            and r.den.leading() > 0 and g.coeffs in ((1,), (-1,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, int_polys, int_polys)
+def test_ratfunc_results_are_canonical(an, ad, bn, bd):
+    if ad.is_zero() or bd.is_zero():
+        return
+    a, b = RatFunc(an, ad), RatFunc(bn, bd)
+    results = [a + b, a - b, a * b]
+    if b:
+        results.append(a / b)
+    for r in results:
+        assert _canonical_ratfunc(r)
 
 
 def test_sparse_matrix_form():

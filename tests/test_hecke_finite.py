@@ -5,10 +5,13 @@ from math import factorial
 
 import pytest
 
-from ggdim.coeff import RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power, rf_eval
+from ggdim.coeff import (
+    RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis, q_power, rf_eval,
+)
 from ggdim.hecke_finite import (
-    FiniteHeckeElement, action_matrix, h0_multiply, hom_to_sign_dim,
-    induced_sign_module, module_act, sign_value,
+    ASCENT, DESCENT, FiniteHeckeElement, action_matrix, h0_multiply,
+    hom_to_sign_dim, induced_sign_module, module_act, sign_hom_dim,
+    sign_value,
 )
 from ggdim.symgroup import (
     all_permutations, identity, length, parabolic_decompose, simple,
@@ -246,6 +249,31 @@ def test_hom_to_sign_dim_all_compositions_k5():
     for k in range(1, 6):
         for J in all_compositions(k):
             assert hom_to_sign_dim(induced_sign_module(k, J)) == 1
+
+
+def _natural_order_hom_dim(m, q0):
+    """hom_to_sign_dim with basis vector n as column n (length-ascending)."""
+    rows = []
+    for table in m.simple_action:
+        for n, (case, j) in enumerate(table):
+            if case == DESCENT:
+                rows.append({j: q0, n: q0})
+            elif case == ASCENT:
+                rows.append({j: RF_ONE, n: RF_ONE})
+    return len(kernel_basis(RFMatrix.sparse(rows, m.dim)))
+
+
+def test_longest_first_columns_keep_the_dimension():
+    for k in range(1, 6):
+        for J in all_compositions(k):
+            m = induced_sign_module(k, J)
+            for f in (1, 2):
+                q0 = q_power(f)
+                assert hom_to_sign_dim(m, q0) == _natural_order_hom_dim(m, q0)
+
+
+def test_free_module_k6_has_one_sign_hom():
+    assert sign_hom_dim(6, (1,) * 6, 1) == 1
 
 
 def test_specialisation_consistency_q7():
