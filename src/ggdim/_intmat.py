@@ -17,8 +17,6 @@ testing is a triangular reduction against it.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def ident(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -36,6 +36,10 @@ t, t' modulo n-th powers.
 Elements of mu_n are carried around as exponents of a fixed generator;
 raw exponents depend on the choice of g, but orders and identity tests
 do not.
+
+The checks that `ggdim verify`, the acceptance criteria and the unit tests
+share: trivial_on_units, antisymmetric, bimultiplicative (left slot),
+nondegenerate and cocycle_identity.
 """
 
 from __future__ import annotations
@@ -71,10 +75,6 @@ class FieldModel:
             raise ValueError("n must be positive")
         if (self.q - 1) % self.n != 0:
             raise ValueError(f"n = {self.n} does not divide q - 1 = {self.q - 1}")
-
-    @property
-    def generator_exponent_modulus(self) -> int:
-        return self.q - 1
 
     @property
     def minus_one_exp(self) -> int:
@@ -178,3 +178,40 @@ def commutator_torus(fm: FieldModel, c: int, d: int, t: tuple, tp: tuple) -> MuN
     """Commutator pairing sigma(t,t') * sigma(t',t)^(-1) on the torus."""
     return sigma_cover_torus(fm, c, d, t, tp) * \
         sigma_cover_torus(fm, c, d, tp, t).inverse()
+
+
+def trivial_on_units(fm: FieldModel) -> bool:
+    """(u, v)_n = 1 for every pair of residue units."""
+    return all(hilbert(fm, unit(e1), unit(e2)).is_identity()
+               for e1 in range(fm.q - 1) for e2 in range(fm.q - 1))
+
+
+def antisymmetric(fm: FieldModel, pool) -> bool:
+    """(u, v)_n * (v, u)_n = 1 for all u, v in pool."""
+    return all((hilbert(fm, u, v) * hilbert(fm, v, u)).is_identity()
+               for u in pool for v in pool)
+
+
+def bimultiplicative(fm: FieldModel, triples) -> bool:
+    """(xy, z)_n = (x, z)_n * (y, z)_n for every (x, y, z) in triples."""
+    return all(hilbert(fm, x * y, z) == hilbert(fm, x, z) * hilbert(fm, y, z)
+               for x, y, z in triples)
+
+
+def nondegenerate(fm: FieldModel) -> bool:
+    """Each nontrivial class (val mod n, unit mod n) pairs nontrivially."""
+    n = fm.n
+    classes = [FieldElem(a, e) for a in range(n) for e in range(n)]
+    return all(any(not hilbert(fm, x, y).is_identity() for y in classes)
+               for x in classes if x.valuation % n or x.unit_exp % n)
+
+
+def cocycle_identity(fm: FieldModel, c: int, d: int, g1: tuple, g2: tuple,
+                     g3: tuple) -> bool:
+    """sigma(g1, g2) sigma(g1 g2, g3) = sigma(g1, g2 g3) sigma(g2, g3)."""
+    g12 = tuple(a * b for a, b in zip(g1, g2))
+    g23 = tuple(a * b for a, b in zip(g2, g3))
+    return sigma_cover_torus(fm, c, d, g1, g2) * \
+        sigma_cover_torus(fm, c, d, g12, g3) == \
+        sigma_cover_torus(fm, c, d, g1, g23) * \
+        sigma_cover_torus(fm, c, d, g2, g3)

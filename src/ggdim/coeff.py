@@ -375,20 +375,6 @@ def q_power(f: int) -> RatFunc:
     return RatFunc(IntPoly.monomial(f))
 
 
-def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Dispatch one field operation by name: add, sub, mul, div."""
-    a, b = _coerce(a), _coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def rf_eval(a: RatFunc, q_value) -> Fraction:
     """Evaluate at a rational point.  Raises ZeroDivisionError at a pole."""
     x = Fraction(q_value)

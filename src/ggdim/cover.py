@@ -61,8 +61,7 @@ from math import comb, factorial, gcd
 import numpy as np
 
 from ._intmat import (
-    hermite_row_basis, hnf_contains, ident, mat_mul, mat_vec,
-    smith_normal_form,
+    hermite_row_basis, hnf_contains, mat_mul, mat_vec, smith_normal_form,
 )
 from .errors import InternalDisagreement
 from .symgroup import simple, young_composition, young_order
@@ -129,6 +128,11 @@ class DerivedParams:
     r0: int
     n0: int
     d0: int
+
+
+def divisors(m: int) -> list[int]:
+    """The positive divisors of m, i.e. the twist orders l0 with l0 | m."""
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def derive_params(cov: CoverSpec, ty: TypeSpec) -> DerivedParams:

@@ -26,6 +26,10 @@ bernstein_cross returns the normal form of T_{s_i} * phi_t, i.e. the element
 phi_{s.t}*T_s plus that lattice part; general products rewrite T_s past
 lattice factors with it, one reduced-word letter at a time.
 
+The checks that `ggdim verify`, the acceptance criteria and the unit tests
+share: bernstein_relation_holds (the relation at one t and s_i, both as a
+normal form and times 1 - phi_{-a}) and ah_associative_on.
+
 The Gelfand-Graev module attached to a cover and type decomposes into one
 summand per S_k-orbit on X(lambda); each is the free C[Y]-module on the sign
 module induced from the orbit's stabilizer composition J.  Orbits with the
@@ -253,6 +257,23 @@ def bernstein_cross(lat: LatticeSpec, t, i: int,
     return AffineHeckeElement(lat, supp, _checked=True)
 
 
+def bernstein_relation_holds(lat: LatticeSpec, t, i: int) -> bool:
+    """The Bernstein relation at t and s = s_i: normal form and telescoping."""
+    t = tuple(t)
+    s = simple(i, lat.k)
+    st = act(s, t)
+    lattice_part = bernstein_cross(lat, t, i) - \
+        AffineHeckeElement(lat, {(st, s): RF_ONE})
+    lhs = ah_multiply(ah_phi(lat, t), ah_t(lat, s)) - \
+        ah_multiply(ah_t(lat, s), ah_phi(lat, st))
+    if lhs != lattice_part:
+        return False
+    neg_a = [0] * lat.k
+    neg_a[i - 1], neg_a[i] = -lat.coroot_multiplier, lat.coroot_multiplier
+    check = ah_multiply(lattice_part, ah_one(lat) - ah_phi(lat, neg_a))
+    return check == (ah_phi(lat, t) - ah_phi(lat, st)).scale(RF_Q - RF_ONE)
+
+
 def _cross_word_phi(lat: LatticeSpec, word: tuple, u: tuple, q0: RatFunc,
                     memo: dict) -> dict:
     """Normal form of T_{s_{word}} * phi_u as a support dict."""
@@ -318,6 +339,12 @@ def ah_multiply(a: AffineHeckeElement, b: AffineHeckeElement,
                     else:
                         acc.pop(lab, None)
     return AffineHeckeElement(lat, acc, _checked=True)
+
+
+def ah_associative_on(triples) -> bool:
+    """(a*b)*c = a*(b*c) under ah_multiply for every (a, b, c) in triples."""
+    return all(ah_multiply(ah_multiply(a, b), c) == ah_multiply(a, ah_multiply(b, c))
+               for a, b, c in triples)
 
 
 @dataclass

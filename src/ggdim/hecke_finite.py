@@ -32,6 +32,9 @@ above gives (at most two entries each).
 induced_sign_module memoises the module on (k, J) and sign_hom_dim its Hom
 dimension on (k, J, f) for the life of the process; their cache_info()
 counts hits and misses and cache_clear() empties them.
+
+The checks of the relations that `ggdim verify`, the acceptance criteria and
+the unit tests share: quadratic_defect, braid_relation_holds, associative_on.
 """
 
 from __future__ import annotations
@@ -156,6 +159,30 @@ def h0_multiply(a: FiniteHeckeElement, b: FiniteHeckeElement,
             else:
                 acc.pop(w, None)
     return FiniteHeckeElement(k, acc)
+
+
+def quadratic_defect(i: int, k: int, q0: RatFunc = RF_Q) -> FiniteHeckeElement:
+    """T_s*T_s - (q0-1)*T_s - q0 for s = s_i in H(S_k, q0).
+
+    Zero iff the quadratic relation holds at s_i.
+    """
+    ts = FiniteHeckeElement.basis(simple(i, k))
+    return h0_multiply(ts, ts, q0) - (
+        ts.scale(q0 - RF_ONE) + FiniteHeckeElement.unit(k).scale(q0))
+
+
+def braid_relation_holds(i: int, k: int, q0: RatFunc = RF_Q) -> bool:
+    """T_s T_t T_s = T_t T_s T_t in H(S_k, q0) for s = s_i, t = s_{i+1}."""
+    a = FiniteHeckeElement.basis(simple(i, k))
+    b = FiniteHeckeElement.basis(simple(i + 1, k))
+    return h0_multiply(h0_multiply(a, b, q0), a, q0) == \
+        h0_multiply(h0_multiply(b, a, q0), b, q0)
+
+
+def associative_on(triples) -> bool:
+    """(a*b)*c = a*(b*c) in H(S_k, q) for every (a, b, c) in triples."""
+    return all(h0_multiply(h0_multiply(a, b), c) == h0_multiply(a, h0_multiply(b, c))
+               for a, b, c in triples)
 
 
 def sign_value(w: Permutation) -> RatFunc:

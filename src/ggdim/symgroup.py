@@ -64,9 +64,6 @@ class Permutation:
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.one_line == other.one_line
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.one_line < other.one_line
-
     def __hash__(self):
         return hash(self.one_line)
 

@@ -12,28 +12,28 @@ from math import factorial
 
 import pytest
 
-from ggdim.cocycle import FieldElem, FieldModel, hilbert, sigma_cover_torus
-from ggdim.coeff import RF_ONE, RF_Q, RatFunc
+from ggdim.cocycle import (
+    FieldElem, FieldModel, antisymmetric, bimultiplicative, cocycle_identity,
+    hilbert, nondegenerate, trivial_on_units,
+)
+from ggdim.coeff import RatFunc
 from ggdim.cover import (
-    KIND_KP, TypeSpec, derive_params, kp_cover, orbits, savin_cover,
+    KIND_KP, TypeSpec, derive_params, divisors, kp_cover, orbits, savin_cover,
     verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
 from ggdim.hecke_affine import (
-    AffineHeckeElement, ah_multiply, ah_one, ah_phi, ah_t, bernstein_cross,
+    AffineHeckeElement, ah_associative_on, bernstein_relation_holds,
     check_twphi_lemma, lattice_for, whittaker_dim_hecke,
 )
 from ggdim.hecke_finite import (
-    FiniteHeckeElement, h0_multiply, hom_to_sign_dim, induced_sign_module,
+    FiniteHeckeElement, associative_on, braid_relation_holds, hom_to_sign_dim,
+    induced_sign_module, quadratic_defect,
 )
-from ggdim.symgroup import all_permutations, simple
+from ggdim.symgroup import all_permutations
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {desc}")
-
-
-def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def _compositions(k):
@@ -62,7 +62,7 @@ def sweep():
             mults = (1, 2, 3, 4) if cov.kind == KIND_KP else (1, 2)
             for k in (1, 2, 3, 4):
                 for mult in mults:
-                    for l0 in _divisors(n):
+                    for l0 in divisors(n):
                         ty = TypeSpec(r=mult * k, k=k, l0=l0)
                         der = derive_params(cov, ty)
                         xg = x_lambda(cov, ty)
@@ -125,26 +125,17 @@ def test_criterion_05_finite_hecke_suite():
         if len(all_permutations(k)) != factorial(k):
             failures.append(f"basis size k={k}")
         for i in range(1, k):
-            ts = FiniteHeckeElement.basis(simple(i, k))
-            expect = ts.scale(RF_Q - RF_ONE) + \
-                FiniteHeckeElement.unit(k).scale(RF_Q)
-            if h0_multiply(ts, ts) != expect:
+            if not quadratic_defect(i, k).is_zero():
                 failures.append(f"quadratic k={k} i={i}")
         for i in range(1, k - 1):
-            a = FiniteHeckeElement.basis(simple(i, k))
-            b = FiniteHeckeElement.basis(simple(i + 1, k))
-            if h0_multiply(h0_multiply(a, b), a) != \
-                    h0_multiply(h0_multiply(b, a), b):
+            if not braid_relation_holds(i, k):
                 failures.append(f"braid k={k} i={i}")
     rng = random.Random(424)
     perms = all_permutations(4)
-    for _ in range(200):
-        a, b, c = (FiniteHeckeElement.basis(rng.choice(perms))
-                   for _ in range(3))
-        if h0_multiply(h0_multiply(a, b), c) != \
-                h0_multiply(a, h0_multiply(b, c)):
-            failures.append("associativity k=4")
-            break
+    triples = [tuple(FiniteHeckeElement.basis(rng.choice(perms))
+                     for _ in range(3)) for _ in range(200)]
+    if not associative_on(triples):
+        failures.append("associativity k=4")
     for k in range(1, 6):
         for comp in _compositions(k):
             mod = induced_sign_module(k, comp)
@@ -178,30 +169,14 @@ def test_criterion_06_bernstein_suite():
     for cov, ty in _bernstein_lattices():
         lat = lattice_for(cov, ty)
         n0 = derive_params(cov, ty).n0
-        cm = lat.coroot_multiplier
         window = [t for t in itertools.product(
             range(-2 * n0, 2 * n0 + 1), repeat=ty.k) if lat.contains(t)]
+        if not window:
+            failures.append(f"empty window {cov.kind} k={ty.k}")
         for t in window:
             for i in range(1, ty.k):
-                s = simple(i, ty.k)
-                st = list(t)
-                st[i - 1], st[i] = st[i], st[i - 1]
-                st = tuple(st)
-                lhs = ah_multiply(ah_phi(lat, t), ah_t(lat, s)) - \
-                    ah_multiply(ah_t(lat, s), ah_phi(lat, st))
-                cross = bernstein_cross(lat, t, i)
-                lattice_part = cross - \
-                    AffineHeckeElement(lat, {(st, s): RF_ONE})
-                if lhs != lattice_part:
-                    failures.append(f"normal form {cov.kind} t={t} i={i}")
-                    continue
-                alpha = [0] * ty.k
-                alpha[i - 1], alpha[i] = -cm, cm
-                check = ah_multiply(lattice_part,
-                                    ah_one(lat) - ah_phi(lat, tuple(alpha)))
-                expect = (ah_phi(lat, t) - ah_phi(lat, st)).scale(RF_Q - RF_ONE)
-                if check != expect:
-                    failures.append(f"telescope {cov.kind} t={t} i={i}")
+                if not bernstein_relation_holds(lat, t, i):
+                    failures.append(f"Bernstein relation {cov.kind} t={t} i={i}")
         # expansion lemma on the nondecreasing window [0, 2n0]
         box = (0, 2 * n0)
         for t in itertools.combinations_with_replacement(
@@ -220,17 +195,16 @@ def test_criterion_06_bernstein_suite():
         window = [t for t in itertools.product(range(-4, 5), repeat=ty.k)
                   if lat.contains(t)]
         perms = all_permutations(ty.k)
+        triples = []
         for _ in range(25):
             elts = []
             for _j in range(3):
                 supp = {(rng.choice(window), rng.choice(perms)):
                         RatFunc(rng.randint(-2, 2))}
                 elts.append(AffineHeckeElement(lat, supp))
-            a, b, c = elts
-            if ah_multiply(ah_multiply(a, b), c) != \
-                    ah_multiply(a, ah_multiply(b, c)):
-                failures.append("affine associativity")
-                break
+            triples.append(tuple(elts))
+        if not ah_associative_on(triples):
+            failures.append("affine associativity")
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 120.0
     _line(6, ok, f"Bernstein relation window, expansion lemma, "
@@ -255,43 +229,30 @@ def test_criterion_08_cocycle_suite():
     failures = []
     rng = random.Random(88)
     for q in (5, 7, 13):
-        for n in _divisors(q - 1):
+        for n in divisors(q - 1):
             fm = FieldModel(q, n)
             pool = [FieldElem(v, e) for v in (-1, 0, 1, 2)
                     for e in range(q - 1)]
-            for u in pool:
-                for v in pool:
-                    if u.is_unit() and v.is_unit() and \
-                            not hilbert(fm, u, v).is_identity():
-                        failures.append(f"unit pair q={q} n={n}")
-                    if not (hilbert(fm, u, v) * hilbert(fm, v, u)).is_identity():
-                        failures.append(f"antisymmetry q={q} n={n}")
-            for _ in range(200):
-                x, y, z = (rng.choice(pool) for _ in range(3))
-                if hilbert(fm, x * y, z) != hilbert(fm, x, z) * hilbert(fm, y, z) \
-                        or hilbert(fm, x, y * z) != \
-                        hilbert(fm, x, y) * hilbert(fm, x, z):
-                    failures.append(f"bimultiplicativity q={q} n={n}")
-                    break
-            classes = [FieldElem(a, e) for a in range(n) for e in range(n)]
-            for x in classes:
-                if x.valuation % n == 0 and x.unit_exp % n == 0:
-                    continue
-                if all(hilbert(fm, x, y).is_identity() for y in classes):
-                    failures.append(f"degenerate class q={q} n={n} {x}")
+            if not trivial_on_units(fm):
+                failures.append(f"unit pair q={q} n={n}")
+            if not antisymmetric(fm, pool):
+                failures.append(f"antisymmetry q={q} n={n}")
+            triples = [tuple(rng.choice(pool) for _ in range(3))
+                       for _ in range(200)]
+            # the right slot, beside bimultiplicative's left slot
+            if not bimultiplicative(fm, triples) or not all(
+                    hilbert(fm, x, y * z) == hilbert(fm, x, y) * hilbert(fm, x, z)
+                    for x, y, z in triples):
+                failures.append(f"bimultiplicativity q={q} n={n}")
+            if not nondegenerate(fm):
+                failures.append(f"degenerate pairing q={q} n={n}")
             for c, d in ((0, 1), (1, 1), (-1, 2)):
                 for _ in range(200):
                     r = rng.randint(1, 3)
                     g1, g2, g3 = (tuple(
                         FieldElem(rng.randint(-3, 3), rng.randint(0, q - 2))
                         for _ in range(r)) for _ in range(3))
-                    g12 = tuple(a * b for a, b in zip(g1, g2))
-                    g23 = tuple(a * b for a, b in zip(g2, g3))
-                    lhs = sigma_cover_torus(fm, c, d, g1, g2) * \
-                        sigma_cover_torus(fm, c, d, g12, g3)
-                    rhs = sigma_cover_torus(fm, c, d, g1, g23) * \
-                        sigma_cover_torus(fm, c, d, g2, g3)
-                    if lhs != rhs:
+                    if not cocycle_identity(fm, c, d, g1, g2, g3):
                         failures.append(f"cocycle identity q={q} n={n} "
                                         f"c={c} d={d}")
                         break

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+from ggdim import cli
 from ggdim.cli import SWEEP_COLUMNS, main
 
 HEADER = "kind,n,c,d,r,k,l0,r0,n0,d0,x_order,orbit_count," \
@@ -171,9 +173,44 @@ def test_hilbert_golden(capsys):
 
 
 def test_verify_all_passes(capsys):
+    # pinned, so that a suite cannot drop, rename or reorder an invariant
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
-    assert "FAIL" not in out
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "47050e251a09f665a8c85a32279f1d1c"
+    code, out, _ = run(capsys, ["verify", "--output", "json"])
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 105
+
+
+def test_verify_checks_never_run_vacuously(monkeypatch):
+    # the shared checks verify calls, with the position of the window, pool
+    # or triples argument each runs over (None: one point per call)
+    checks = {"quadratic_defect": None, "braid_relation_holds": None,
+              "associative_on": 0, "bernstein_relation_holds": None,
+              "trivial_on_units": None, "antisymmetric": 1,
+              "bimultiplicative": 1, "nondegenerate": None,
+              "cocycle_identity": None}
+    calls = []
+
+    def spy(name, real, sized):
+        def wrapped(*args):
+            assert sized is None or len(args[sized]) > 0, name
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    for name, sized in checks.items():
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name), sized))
+    cfg = cli._merge_config(cli.build_parser().parse_args(["verify"]))
+    seen = set()
+    for suite in cli.SUITES.values():
+        for inv, ok, _detail in suite(cfg, False):
+            assert ok and (calls or inv.startswith(
+                ("bernstein.expansion", "kp.", "reps."))), inv
+            seen.update(calls)
+            calls.clear()
+    assert seen == set(checks)
 
 
 def test_verify_cocycle_named_field(capsys):

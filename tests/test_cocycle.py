@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from ggdim import cocycle
 from ggdim.cocycle import (
-    ONE, UNIFORMIZER, FieldElem, FieldModel, MuN, commutator_torus, hilbert,
-    is_prime_power, sigma_cover_torus, sigma_det_torus, sigma_kp_torus, unit,
+    ONE, UNIFORMIZER, FieldElem, FieldModel, MuN, antisymmetric,
+    bimultiplicative, cocycle_identity, commutator_torus, hilbert,
+    is_prime_power, nondegenerate, sigma_cover_torus, sigma_det_torus,
+    sigma_kp_torus, trivial_on_units, unit,
 )
-
-
-def divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
+from ggdim.cover import divisors
 
 
 def field_models():
@@ -66,41 +66,15 @@ def test_hilbert_golden_uniformizer_pair():
     assert got.order == 2
 
 
-def test_hilbert_trivial_on_units():
-    for fm in field_models():
-        for e1 in range(fm.q - 1):
-            for e2 in range(fm.q - 1):
-                assert hilbert(fm, unit(e1), unit(e2)).is_identity()
-
-
-def test_hilbert_antisymmetric():
-    for fm in field_models():
-        for u in elems(fm):
-            for v in elems(fm):
-                assert (hilbert(fm, u, v) * hilbert(fm, v, u)).is_identity()
-
-
 def test_hilbert_bimultiplicative():
     rng = random.Random(9)
     for fm in field_models():
         pool = elems(fm, vals=(-2, -1, 0, 1, 2))
-        for _ in range(200):
-            x, y, z = (rng.choice(pool) for _ in range(3))
-            assert hilbert(fm, x * y, z) == hilbert(fm, x, z) * hilbert(fm, y, z)
+        triples = [tuple(rng.choice(pool) for _ in range(3))
+                   for _ in range(200)]
+        assert bimultiplicative(fm, triples)
+        for x, y, z in triples:
             assert hilbert(fm, x, y * z) == hilbert(fm, x, y) * hilbert(fm, x, z)
-
-
-def test_hilbert_nondegenerate_mod_nth_powers():
-    # classes of F^x mod n-th powers are indexed by (val mod n, unit mod n);
-    # every nontrivial class must pair nontrivially with something
-    for fm in field_models():
-        n = fm.n
-        classes = [FieldElem(a, e) for a in range(n) for e in range(n)]
-        for x in classes:
-            if x.valuation % n == 0 and x.unit_exp % n == 0:
-                continue
-            assert any(not hilbert(fm, x, y).is_identity() for y in classes), \
-                (fm.q, fm.n, x)
 
 
 def test_hilbert_kills_nth_powers():
@@ -173,14 +147,25 @@ def test_two_cocycle_identity():
                     return tuple(FieldElem(rng.randint(-3, 3), rng.randint(0, fm.q - 2))
                                  for _ in range(r))
 
-                g1, g2, g3 = rand_torus(), rand_torus(), rand_torus()
-                g12 = tuple(a * b for a, b in zip(g1, g2))
-                g23 = tuple(a * b for a, b in zip(g2, g3))
-                lhs = sigma_cover_torus(fm, c, d, g1, g2) * \
-                    sigma_cover_torus(fm, c, d, g12, g3)
-                rhs = sigma_cover_torus(fm, c, d, g1, g23) * \
-                    sigma_cover_torus(fm, c, d, g2, g3)
-                assert lhs == rhs
+                assert cocycle_identity(fm, c, d, rand_torus(), rand_torus(),
+                                        rand_torus())
+
+
+@pytest.mark.parametrize("exponent, check", [
+    (lambda a, e, b, f: e * f, trivial_on_units),
+    (lambda a, e, b, f: b * e + a * f, lambda fm: antisymmetric(fm, elems(fm))),
+    (lambda a, e, b, f: a * a * b,
+     lambda fm: bimultiplicative(fm, [(UNIFORMIZER,) * 3])),
+    (lambda a, e, b, f: 0, nondegenerate),
+    (lambda a, e, b, f: a * a * b,
+     lambda fm: cocycle_identity(fm, 1, 0, *[(UNIFORMIZER,)] * 3)),
+], ids=["units", "antisymmetry", "bimultiplicativity", "nondegeneracy",
+        "2-cocycle"])
+def test_each_check_sees_a_wrong_symbol(monkeypatch, exponent, check):
+    # zeta^exponent(val u, unit u, val v, unit v) in place of the tame symbol
+    monkeypatch.setattr(cocycle, "hilbert", lambda fm, u, v: MuN(
+        fm.n, exponent(u.valuation, u.unit_exp, v.valuation, v.unit_exp)))
+    assert not check(FieldModel(5, 4))
 
 
 def test_commutator_basic():

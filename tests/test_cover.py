@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 import pytest
@@ -9,16 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from ggdim._intmat import hermite_row_basis
 from ggdim.cover import (
-    CoverSpec, OrbitRecord, TypeSpec, derive_params, generic_cover,
+    CoverSpec, OrbitRecord, TypeSpec, derive_params, divisors, generic_cover,
     _lattice_census, in_T_brho, kp_class_test, kp_cover, orbit_census, orbits,
     ord_sum, savin_cover, select_representatives, verify_kp_lemma,
     whittaker_dim_closed, x_lambda,
 )
 from ggdim.symgroup import act, all_permutations, simple, young_order
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def small_sweep(n_max=6, k_max=3, r_mult=1):

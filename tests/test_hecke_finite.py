@@ -5,17 +5,17 @@ from math import factorial
 
 import pytest
 
+from ggdim import hecke_finite
 from ggdim.coeff import (
     RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis, q_power, rf_eval,
 )
 from ggdim.hecke_finite import (
-    ASCENT, DESCENT, FiniteHeckeElement, action_matrix, h0_multiply,
-    hom_to_sign_dim, induced_sign_module, module_act, sign_hom_dim,
-    sign_value,
+    ASCENT, DESCENT, FiniteHeckeElement, action_matrix, associative_on,
+    braid_relation_holds, h0_multiply, hom_to_sign_dim, induced_sign_module,
+    module_act, quadratic_defect, sign_hom_dim, sign_value,
 )
 from ggdim.symgroup import (
-    all_permutations, identity, length, parabolic_decompose, simple,
-    young_order, young_subgroup,
+    all_permutations, identity, parabolic_decompose, simple, young_subgroup,
 )
 
 T = FiniteHeckeElement.basis
@@ -37,13 +37,6 @@ def all_compositions(k):
     return out
 
 
-def test_quadratic_relation_k2():
-    k = 2
-    lhs = h0_multiply(ts(1, k), ts(1, k))
-    expected = ts(1, k).scale(RF_Q - RF_ONE) + FiniteHeckeElement.unit(k).scale(RF_Q)
-    assert lhs == expected
-
-
 def test_length_additive_product():
     k = 3
     prod = h0_multiply(ts(1, k), ts(2, k))
@@ -53,26 +46,38 @@ def test_length_additive_product():
 
 def test_quadratic_and_braid_relations_all_k():
     for k in range(2, 6):
-        one = FiniteHeckeElement.unit(k)
         for i in range(1, k):
-            t = ts(i, k)
-            lhs = h0_multiply(t + one, t - one.scale(RF_Q))
-            assert lhs.is_zero()
+            assert quadratic_defect(i, k).is_zero()
         for i in range(1, k - 1):
-            a, b = ts(i, k), ts(i + 1, k)
-            lhs = h0_multiply(h0_multiply(a, b), a)
-            rhs = h0_multiply(h0_multiply(b, a), b)
-            assert lhs == rhs
+            assert braid_relation_holds(i, k)
 
 
 def test_relations_at_q0_power():
     # same relations with q0 = q^2 (covers f > 1)
-    k = 3
     q0 = q_power(2)
-    one = FiniteHeckeElement.unit(k)
-    for i in range(1, k):
-        t = ts(i, k)
-        assert h0_multiply(t + one, t - one.scale(q0), q0).is_zero()
+    for i in range(1, 3):
+        assert quadratic_defect(i, 3, q0).is_zero()
+    assert braid_relation_holds(1, 3, q0)
+
+
+def test_quadratic_defect_sees_a_wrong_q0(monkeypatch):
+    real = hecke_finite.h0_multiply
+    monkeypatch.setattr(hecke_finite, "h0_multiply",
+                        lambda a, b, q0=RF_Q: real(a, b, q_power(2)))
+    assert not quadratic_defect(1, 2).is_zero()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: braid_relation_holds(1, 3),
+    lambda: associative_on([(ts(2, 3), ts(1, 3), ts(1, 3))]),
+], ids=["braid", "associativity"])
+def test_check_sees_a_corrupted_structure_constant(monkeypatch, check):
+    # every product T_{s_1} * b comes out doubled
+    real = hecke_finite.h0_multiply
+    monkeypatch.setattr(
+        hecke_finite, "h0_multiply", lambda a, b, q0=RF_Q:
+        real(a, b, q0).scale(RatFunc(2 if a == ts(1, 3) else 1)))
+    assert not check()
 
 
 def test_products_stay_in_basis_span_and_dim():
@@ -100,11 +105,9 @@ def test_associativity_random_k4():
     rng = random.Random(2024)
     k = 4
     perms = all_permutations(k)
-    for _ in range(200):
-        a = _random_element(rng, k, perms)
-        b = _random_element(rng, k, perms)
-        c = _random_element(rng, k, perms)
-        assert h0_multiply(h0_multiply(a, b), c) == h0_multiply(a, h0_multiply(b, c))
+    triples = [tuple(_random_element(rng, k, perms) for _ in range(3))
+               for _ in range(200)]
+    assert associative_on(triples)
 
 
 def test_sign_values():
