@@ -10,10 +10,11 @@ Subcommands:
     hilbert  evaluate one tame Hilbert symbol
 
 Flags are mirrored one-to-one by an optional JSON config file
-(--config); explicit flags override file values.  Exit codes: 0 on
-success, 1 on invalid input, 2 when independent computations of the
-same quantity disagree or an internal consistency check fails (which
-would mean a bug, not a user error).
+(--config), whose values must have the flags' types and choices; explicit
+flags override file values.  Exit codes: 0 on success, 1 on invalid input
+(usage errors included), 2 when independent computations of the same
+quantity disagree or an internal consistency check fails (which would mean
+a bug, not a user error).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .cocycle import (
     FieldElem, FieldModel, antisymmetric, bimultiplicative, cocycle_identity,
     hilbert, nondegenerate, trivial_on_units,
 )
-from .coeff import rf_eval
+from .coeff import RatFunc
 from .cover import (
     DEFAULT_ORBIT_BOUND, KIND_GENERIC, KIND_KP, KIND_SAVIN, CoverSpec,
     TypeSpec, derive_params, divisors, generic_cover, kp_cover, orbit_census,
@@ -38,8 +39,7 @@ from .cover import (
 )
 from .errors import InternalDisagreement, WorkLimitExceeded
 from .hecke_affine import (
-    bernstein_relation_holds, check_twphi_lemma, lattice_for,
-    whittaker_dim_hecke,
+    bernstein_relation_holds, check_twphi_lemma, whittaker_dim_hecke,
 )
 from .hecke_finite import (
     FiniteHeckeElement, associative_on, braid_relation_holds, quadratic_defect,
@@ -50,8 +50,13 @@ SWEEP_COLUMNS = ["kind", "n", "c", "d", "r", "k", "l0", "r0", "n0", "d0",
                  "x_order", "orbit_count", "dim_closed", "dim_bruteforce",
                  "dim_hecke", "agree"]
 
-CONFIG_KEYS = ("kind", "n", "c", "d", "r", "k", "l0", "f", "q", "bound",
-               "output")
+# the flags every subcommand takes, with their argparse type or choices; a
+# --config file may set each of them, and its values are checked the same way
+OPTIONS = {"kind": {"choices": [KIND_KP, KIND_SAVIN, KIND_GENERIC]},
+           "n": {"type": int}, "c": {"type": int}, "d": {"type": int},
+           "r": {"type": int}, "k": {"type": int}, "l0": {"type": int},
+           "f": {"type": int}, "q": {"type": str}, "bound": {"type": int},
+           "output": {"choices": ["json", "csv", "text"]}}
 
 
 @dataclass
@@ -74,9 +79,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config) as fh:
             file_vals = json.load(fh)
-        bad = set(file_vals) - set(CONFIG_KEYS)
+        bad = set(file_vals) - set(OPTIONS)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
+        for name, val in file_vals.items():
+            _check_config_value(name, val)
     defaults = {"l0": 1, "f": 1, "bound": DEFAULT_ORBIT_BOUND, "output": "text"}
 
     def pick(name):
@@ -87,7 +94,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             return file_vals[name]
         return defaults.get(name)
 
-    return RunConfig(**{name: pick(name) for name in CONFIG_KEYS})
+    return RunConfig(**{name: pick(name) for name in OPTIONS})
+
+
+def _check_config_value(name: str, val) -> None:
+    """Refuse a config value its flag would not produce (booleans too)."""
+    spec = OPTIONS[name]
+    want = spec.get("type", str)
+    if isinstance(val, bool) or not isinstance(val, want):
+        raise ValueError(f"config key {name!r}: expected "
+                         f"{'an integer' if want is int else 'a string'}, "
+                         f"got {json.dumps(val)}")
+    if "choices" in spec and val not in spec["choices"]:
+        raise ValueError(f"config key {name!r}: invalid choice {val!r} "
+                         f"(choose from {', '.join(spec['choices'])})")
 
 
 def _build_cover(cfg: RunConfig) -> CoverSpec:
@@ -290,22 +310,23 @@ def _suite_hecke(cfg: RunConfig, inject_fault: bool):
         associative_on(triples), ""
     if cfg.q is not None:
         qv = Fraction(cfg.q)
-        ok = all(rf_eval(c, qv) == 0
-                 for c in quadratic_defect(1, 2).support.values())
-        yield f"finite-hecke.quadratic-at-q={cfg.q}", ok, ""
+        defect = quadratic_defect(1, 2, RatFunc(qv.numerator, qv.denominator))
+        if inject_fault:
+            defect = defect + FiniteHeckeElement.unit(2)
+        yield f"finite-hecke.quadratic-at-q={cfg.q}", defect.is_zero(), ""
 
 
 def _suite_bernstein(cfg: RunConfig, inject_fault: bool):
     pairs = [(savin_cover(4), TypeSpec(r=2, k=2, l0=1)),
              (kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1))]
     for cov, ty in pairs:
-        lat = lattice_for(cov, ty)
+        lat = x_lambda(cov, ty)
         n0 = derive_params(cov, ty).n0
         window = range(-2 * n0, 2 * n0 + 1)
         ok = all(bernstein_relation_holds(lat, (a, b), 1)
                  for a in window for b in window if lat.contains((a, b)))
         yield f"bernstein.relation[{cov.kind},n=4,k=2]", ok, ""
-    lat = lattice_for(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
+    lat = x_lambda(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
     ok = all(check_twphi_lemma(lat, w, t, (0, 4)).all_ok
              for t in ((0, 0), (0, 2), (2, 2), (0, 4), (2, 4))
              for w in all_permutations(2))
@@ -389,22 +410,20 @@ def cmd_verify(cfg: RunConfig, suite: str, inject_fault: bool) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 1 like any invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kind", choices=[KIND_KP, KIND_SAVIN, KIND_GENERIC])
-    common.add_argument("--n", type=int)
-    common.add_argument("--c", type=int)
-    common.add_argument("--d", type=int)
-    common.add_argument("--r", type=int)
-    common.add_argument("--k", type=int)
-    common.add_argument("--l0", type=int)
-    common.add_argument("--f", type=int)
-    common.add_argument("--q", type=str)
-    common.add_argument("--bound", type=int)
-    common.add_argument("--output", choices=["json", "csv", "text"])
+    common = _Parser(add_help=False)
+    for name, spec in OPTIONS.items():
+        common.add_argument("--" + name, **spec)
     common.add_argument("--config", type=str)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ggdim",
         description="Whittaker dimensions of Gelfand-Graev modules "
                     "on metaplectic covers")
@@ -428,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merge_config(args)
         if args.command == "derive":
             return cmd_derive(cfg)

@@ -44,9 +44,14 @@ its stabilizer, so the stabilizer is Young exactly when that subgroup's order
 is k!/|orbit|.  Orbits where no such element exists are flagged instead of
 guessed (not observed for KP/Savin, conceivable for Generic).
 
-The orbit census (how many orbits carry each stabilizer composition) is a
-function of the relation lattice alone, so orbit_census computes it once per
-process and lattice; orbits() itself is not memoised.
+QuotientGroup is the one object for the lattice T(b, rho) and its quotient:
+besides the Smith data it refuses a lattice that is not full rank or not
+S_k-stable, tests membership (contains), and gives the coroot multiplier
+that the Bernstein presentation over Y = T(b, rho) needs, as the order of
+the class of e_1 - e_2 in X(lambda).  quotient_group keeps one object per
+HNF basis and process, so instances sharing a lattice share its orbit census
+(how many orbits carry each stabilizer composition), which is computed on
+first use and kept on the object; orbits() itself is not memoised.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from ._intmat import (
     hermite_row_basis, hnf_contains, mat_mul, mat_vec, smith_normal_form,
 )
 from .errors import InternalDisagreement
-from .symgroup import simple, young_composition, young_order
+from .symgroup import act, simple, young_composition, young_order
 
 KIND_KP = "kp"
 KIND_SAVIN = "savin"
@@ -174,12 +179,16 @@ def in_T_brho(cov: CoverSpec, ty: TypeSpec, t) -> bool:
 
 
 class QuotientGroup:
-    """X(lambda) = Z^k / T(b, rho) with its S_k action.
+    """X = Z^k / Y for a full-rank S_k-stable lattice Y, with its S_k action.
 
-    project maps an exponent vector to its canonical tuple of residues
+    relation_lattice is the HNF basis of Y and contains tests membership in
+    Y.  project maps an exponent vector to its canonical tuple of residues
     (coordinates along the Smith basis, reduced mod the invariant factors);
-    lift gives one integer preimage.  The kernel of project is exactly the
-    relation lattice.
+    lift gives one integer preimage.  The kernel of project is exactly Y.
+    coroot_multiplier is the order of the class of e_1 - e_2 in X, i.e. the
+    least c > 0 with c*(e_1 - e_2) in Y; S_k-stability makes it the same for
+    every e_i - e_{i+1}.  census is the orbit census, computed on first use
+    and kept on the object; quotient_group keeps one object per lattice.
     """
 
     def __init__(self, k: int, relation_rows):
@@ -187,6 +196,12 @@ class QuotientGroup:
         self.relation_lattice = hermite_row_basis(relation_rows)
         if len(self.relation_lattice) != k:
             raise ValueError("relation lattice does not have full rank %d" % k)
+        # S_k-stability, which perm_matrix presumes: the simple reflections
+        # map every basis vector into Y
+        for i in range(1, k):
+            if not all(self.contains(act(simple(i, k), row))
+                       for row in self.relation_lattice):
+                raise ValueError("relation lattice is not S_k-stable")
         # Smith form of the basis matrix B (basis vectors as columns)
         b = [[self.relation_lattice[j][i] for j in range(k)] for i in range(k)]
         u, uinv, dd, _v = smith_normal_form(b)
@@ -200,6 +215,10 @@ class QuotientGroup:
         self.order = 1
         for f in self.invariant_factors:
             self.order *= f
+        # the order of the class of e_1 - e_2 (1 when k = 1: no roots)
+        root = self.project((1, -1) + (0,) * (k - 2)) if k > 1 else ()
+        self.coroot_multiplier = lcm(*(f // gcd(f, x) for x, f in
+                                       zip(root, self.invariant_factors)))
 
     def project(self, t) -> tuple:
         if len(t) != self.k:
@@ -210,7 +229,7 @@ class QuotientGroup:
     def lift(self, x) -> tuple:
         return mat_vec(self._uinv, x)
 
-    def contains_zero(self, t) -> bool:
+    def contains(self, t) -> bool:
         """Is t in the relation lattice (i.e. projects to 0)?"""
         return hnf_contains(self.relation_lattice, t)
 
@@ -224,9 +243,29 @@ class QuotientGroup:
         raw = mat_vec(self.perm_matrix(w), x)
         return tuple(v % f for v, f in zip(raw, self.invariant_factors))
 
+    @functools.cached_property
+    def census(self) -> tuple:
+        """(stabilizer composition, orbit count) pairs from one orbits() call."""
+        recs = orbits(self, bound=self.order)
+        return tuple(Counter(rec.stabilizer for rec in recs).items())
+
     def __repr__(self):
         return "QuotientGroup(k=%d, order=%d, factors=%s)" % (
             self.k, self.order, list(self.invariant_factors))
+
+
+def quotient_group(rows) -> QuotientGroup:
+    """Z^k / <rows> for rows of length k, one object per lattice and process.
+
+    Memoised on the HNF basis of the rows; cache_info() and cache_clear() of
+    _quotient count and empty the memo.
+    """
+    return _quotient(len(rows[0]), hermite_row_basis(rows))
+
+
+@functools.cache
+def _quotient(k: int, basis: tuple) -> QuotientGroup:
+    return QuotientGroup(k, basis)
 
 
 def x_lambda(cov: CoverSpec, ty: TypeSpec) -> QuotientGroup:
@@ -239,7 +278,7 @@ def x_lambda(cov: CoverSpec, ty: TypeSpec) -> QuotientGroup:
     _u, _uinv, dd, v = smith_normal_form(a)
     mult = [n // gcd(n, dd[i][i]) for i in range(k)]
     basis_rows = [[v[i][j] * mult[j] for i in range(k)] for j in range(k)]
-    xg = QuotientGroup(k, basis_rows)
+    xg = quotient_group(basis_rows)
     if cov.kind == KIND_KP:
         expect = dp.n0 ** (k - 1) * dp.d0
     elif cov.kind == KIND_SAVIN:
@@ -352,20 +391,11 @@ def orbits(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> list:
 def orbit_census(xg: QuotientGroup, bound: int = DEFAULT_ORBIT_BOUND) -> dict:
     """Number of orbits per stabilizer composition (None: not Young).
 
-    The census depends only on the relation lattice, so it is memoised per
-    process on its HNF basis and filled from one orbits() enumeration; the
-    memo keeps these few counts, never the orbit records.  The bound and
-    k refusals of orbits() run before every lookup.
+    A fresh dict of xg.census; the bound and k refusals of orbits() run
+    before every lookup.
     """
     _check_enumerable(xg, bound)
-    return dict(_lattice_census(xg.relation_lattice))
-
-
-@functools.cache
-def _lattice_census(lattice: tuple) -> tuple:
-    xg = QuotientGroup(len(lattice), lattice)
-    census = Counter(rec.stabilizer for rec in orbits(xg, bound=xg.order))
-    return tuple(census.items())
+    return dict(xg.census)
 
 
 def whittaker_dim_closed(cov: CoverSpec, ty: TypeSpec) -> int:

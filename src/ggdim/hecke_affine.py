@@ -1,10 +1,12 @@
 """The affine Hecke algebra in Bernstein presentation, over the lattice Y.
 
-Here Y = T(b, rho) is a finite-index S_k-stable sublattice of Z^k (produced
-by the cover module).  The algebra H has underlying vector space
-C[Y] (x) H_0, with C[Y] spanned by phi_t (t in Y, phi_t*phi_u = phi_{t+u})
-and H_0 the finite Hecke algebra with parameter q0.  Elements are kept in
-lattice-left normal form: linear combinations of phi_t * T_w.
+Here Y = T(b, rho) is a finite-index S_k-stable sublattice of Z^k, passed
+as the cover module's QuotientGroup X(lambda) = Z^k / Y, which carries the
+lattice facts used here: membership (contains) and the coroot multiplier.
+The algebra H has underlying vector space C[Y] (x) H_0, with C[Y] spanned
+by phi_t (t in Y, phi_t*phi_u = phi_{t+u}) and H_0 the finite Hecke algebra
+with parameter q0.  Elements are kept in lattice-left normal form: linear
+combinations of phi_t * T_w.
 
 The two subalgebra structures are glued by the Bernstein relation
 
@@ -12,9 +14,9 @@ The two subalgebra structures are glued by the Bernstein relation
 
 where, for the simple reflection s = s_i, the coroot direction must be
 rescaled to the minimal lattice multiple a = c*(e_i - e_{i+1}) with c the
-coroot_multiplier of Y (e_i - e_{i+1} itself need not lie in Y; minimality
-of c is verified against the cover data, not assumed).  The right-hand side
-is the finite geometric sum
+coroot_multiplier of Y (e_i - e_{i+1} itself need not lie in Y; c is the
+order of its class in Z^k / Y, so minimal by construction).  The right-hand
+side is the finite geometric sum
 
     (q0 - 1) * sum_{j=0}^{m-1} phi_{t - j*a}          for m > 0,
   - (q0 - 1) * sum_{j=1}^{|m|}  phi_{t + j*a}          for m < 0,
@@ -47,14 +49,13 @@ checked against MAX_HECKE_COLUMNS.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import factorial
 
-from ._intmat import hermite_row_basis, hnf_contains, smith_normal_form
 from .coeff import IntPoly, RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
 from .cover import (
-    CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, orbit_census, ord_sum, x_lambda,
+    CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, QuotientGroup, orbit_census,
+    ord_sum, x_lambda,
 )
 from .errors import InternalDisagreement, WorkLimitExceeded
 from .hecke_finite import (
@@ -73,77 +74,12 @@ from .symgroup import (
 MAX_HECKE_COLUMNS = 10 ** 4
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """A full-rank S_k-stable sublattice Y of Z^k with its coroot multiplier."""
-    k: int
-    basis: tuple
-    coroot_multiplier: int
-
-    def contains(self, t) -> bool:
-        return hnf_contains(self.basis, t)
-
-
-def lattice_spec(rows) -> LatticeSpec:
-    """Build a LatticeSpec from generating rows, validating the invariants.
-
-    Memoised per process on the HNF basis of the rows.
-    """
-    return _lattice_spec(hermite_row_basis(rows))
-
-
-@functools.cache
-def _lattice_spec(basis: tuple) -> LatticeSpec:
-    if not basis:
-        raise ValueError("empty lattice")
-    k = len(basis[0])
-    if len(basis) != k:
-        raise ValueError("lattice is not full rank in Z^%d" % k)
-    # S_k-stability: permuted generators stay inside
-    for w in [simple(i, k) for i in range(1, k)]:
-        for row in basis:
-            if not hnf_contains(basis, act(w, row)):
-                raise ValueError("lattice is not S_k-stable")
-    # index of Y in Z^k bounds the coroot multiplier (exponent | order)
-    cols = [[basis[j][i] for j in range(k)] for i in range(k)]
-    _u, _ui, dd, _v = smith_normal_form(cols)
-    index = 1
-    for i in range(k):
-        index *= dd[i][i]
-    cm = None
-    if k == 1:
-        cm = 1          # no roots; keep the field total and harmless
-    for c in range(1, index + 1) if k > 1 else ():
-        alpha = [c, -c] + [0] * (k - 2)
-        if hnf_contains(basis, alpha):
-            cm = c
-            break
-    if cm is None:
-        raise ValueError("no coroot multiple found up to the lattice index")
-    for i in range(1, k):
-        alpha = [0] * k
-        alpha[i - 1], alpha[i] = cm, -cm
-        if not hnf_contains(basis, alpha):
-            raise ValueError("coroot multiplier is not uniform across i")
-        if cm > 1:
-            smaller = [x // cm for x in alpha]
-            for c in range(1, cm):
-                if hnf_contains(basis, [c * x for x in smaller]):
-                    raise ValueError("coroot multiplier is not minimal at i=%d" % i)
-    return LatticeSpec(k=k, basis=basis, coroot_multiplier=cm)
-
-
-def lattice_for(cov: CoverSpec, ty: TypeSpec) -> LatticeSpec:
-    """The lattice T(b, rho) of a cover/type pair, via the congruence system."""
-    return lattice_spec(x_lambda(cov, ty).relation_lattice)
-
-
 class AffineHeckeElement:
     """Linear combination of phi_t * T_w (normal form), t in Y."""
 
     __slots__ = ("lattice", "support")
 
-    def __init__(self, lattice: LatticeSpec, support=None, _checked=False):
+    def __init__(self, lattice: QuotientGroup, support=None, _checked=False):
         self.lattice = lattice
         clean = {}
         for (t, w), c in (support or {}).items():
@@ -201,22 +137,22 @@ class AffineHeckeElement:
                           for kw in keys)
 
 
-def ah_phi(lat: LatticeSpec, t) -> AffineHeckeElement:
+def ah_phi(lat: QuotientGroup, t) -> AffineHeckeElement:
     """The basis element phi_t."""
     return AffineHeckeElement(lat, {(tuple(t), identity(lat.k)): RF_ONE})
 
 
-def ah_t(lat: LatticeSpec, w: Permutation) -> AffineHeckeElement:
+def ah_t(lat: QuotientGroup, w: Permutation) -> AffineHeckeElement:
     """The basis element T_w."""
     zero = (0,) * lat.k
     return AffineHeckeElement(lat, {(zero, w): RF_ONE})
 
 
-def ah_one(lat: LatticeSpec) -> AffineHeckeElement:
+def ah_one(lat: QuotientGroup) -> AffineHeckeElement:
     return ah_t(lat, identity(lat.k))
 
 
-def bernstein_cross(lat: LatticeSpec, t, i: int,
+def bernstein_cross(lat: QuotientGroup, t, i: int,
                     q0: RatFunc = RF_Q) -> AffineHeckeElement:
     """Normal form of T_{s_i} * phi_t: phi_{s.t}*T_{s_i} + geometric lattice part.
 
@@ -234,7 +170,7 @@ def bernstein_cross(lat: LatticeSpec, t, i: int,
     if diff % cm != 0:
         raise ValueError(
             "t_i - t_{i+1} = %d is not divisible by the coroot multiplier %d "
-            "(lattice-spec bug)" % (diff, cm))
+            "(quotient-group bug)" % (diff, cm))
     m = diff // cm
     s = simple(i, k)
     st = act(s, t)
@@ -257,7 +193,7 @@ def bernstein_cross(lat: LatticeSpec, t, i: int,
     return AffineHeckeElement(lat, supp, _checked=True)
 
 
-def bernstein_relation_holds(lat: LatticeSpec, t, i: int) -> bool:
+def bernstein_relation_holds(lat: QuotientGroup, t, i: int) -> bool:
     """The Bernstein relation at t and s = s_i: normal form and telescoping."""
     t = tuple(t)
     s = simple(i, lat.k)
@@ -274,7 +210,7 @@ def bernstein_relation_holds(lat: LatticeSpec, t, i: int) -> bool:
     return check == (ah_phi(lat, t) - ah_phi(lat, st)).scale(RF_Q - RF_ONE)
 
 
-def _cross_word_phi(lat: LatticeSpec, word: tuple, u: tuple, q0: RatFunc,
+def _cross_word_phi(lat: QuotientGroup, word: tuple, u: tuple, q0: RatFunc,
                     memo: dict) -> dict:
     """Normal form of T_{s_{word}} * phi_u as a support dict."""
     if not word:
@@ -350,7 +286,6 @@ def ah_associative_on(triples) -> bool:
 @dataclass
 class GGModule:
     """Block data of the Gelfand-Graev module: one block per stabilizer type."""
-    lattice: LatticeSpec
     blocks: list          # (composition J, orbit count N_J, InducedSignModule)
     x_order: int
 
@@ -372,10 +307,9 @@ def gg_module(cov: CoverSpec, ty: TypeSpec,
         raise WorkLimitExceeded(
             "the Hecke leg needs kernels of %d columns in all, over the "
             "limit of %d" % (width, MAX_HECKE_COLUMNS))
-    lat = lattice_spec(xg.relation_lattice)
     blocks = [(J, mult, induced_sign_module(ty.k, J))
               for J, mult in census.items()]
-    gg = GGModule(lattice=lat, blocks=blocks, x_order=xg.order)
+    gg = GGModule(blocks=blocks, x_order=xg.order)
     if gg.total_rank() != xg.order:
         raise InternalDisagreement(
             "block ranks sum to %d, |X| = %d" % (gg.total_rank(), xg.order))
@@ -436,7 +370,7 @@ def _nonneg_poly_in_q0(c: RatFunc, f: int) -> bool:
     return all(x >= 0 for x in shifted.coeffs)
 
 
-def check_twphi_lemma(lat: LatticeSpec, w: Permutation, t, box, f: int = 1) -> TwPhiReport:
+def check_twphi_lemma(lat: QuotientGroup, w: Permutation, t, box, f: int = 1) -> TwPhiReport:
     """Expand T_w * phi_{-t} and check the three expected properties.
 
     box = (lo, hi) is the coordinate window the caller sweeps; t must lie in

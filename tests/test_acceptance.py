@@ -23,7 +23,7 @@ from ggdim.cover import (
 )
 from ggdim.hecke_affine import (
     AffineHeckeElement, ah_associative_on, bernstein_relation_holds,
-    check_twphi_lemma, lattice_for, whittaker_dim_hecke,
+    check_twphi_lemma, whittaker_dim_hecke,
 )
 from ggdim.hecke_finite import (
     FiniteHeckeElement, associative_on, braid_relation_holds, hom_to_sign_dim,
@@ -31,24 +31,11 @@ from ggdim.hecke_finite import (
 )
 from ggdim.symgroup import all_permutations
 
+from shared import compositions
+
 
 def _line(num: int, ok: bool, desc: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {desc}")
-
-
-def _compositions(k):
-    out = []
-    for cuts in itertools.product((0, 1), repeat=k - 1):
-        comp, run = [], 1
-        for cut in cuts:
-            if cut:
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        out.append(tuple(comp))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +124,7 @@ def test_criterion_05_finite_hecke_suite():
     if not associative_on(triples):
         failures.append("associativity k=4")
     for k in range(1, 6):
-        for comp in _compositions(k):
+        for comp in compositions(k):
             mod = induced_sign_module(k, comp)
             expect = factorial(k)
             for part in comp:
@@ -167,7 +154,7 @@ def test_criterion_06_bernstein_suite():
     t0 = time.monotonic()
     failures = []
     for cov, ty in _bernstein_lattices():
-        lat = lattice_for(cov, ty)
+        lat = x_lambda(cov, ty)
         n0 = derive_params(cov, ty).n0
         window = [t for t in itertools.product(
             range(-2 * n0, 2 * n0 + 1), repeat=ty.k) if lat.contains(t)]
@@ -191,7 +178,7 @@ def test_criterion_06_bernstein_suite():
                         f"{rep.failures}")
     rng = random.Random(77)
     for cov, ty in (_bernstein_lattices()[0], _bernstein_lattices()[3]):
-        lat = lattice_for(cov, ty)
+        lat = x_lambda(cov, ty)
         window = [t for t in itertools.product(range(-4, 5), repeat=ty.k)
                   if lat.contains(t)]
         perms = all_permutations(ty.k)

@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from ggdim import cli
 from ggdim.cli import SWEEP_COLUMNS, main
+from ggdim.coeff import RatFunc
 
 HEADER = "kind,n,c,d,r,k,l0,r0,n0,d0,x_order,orbit_count," \
          "dim_closed,dim_bruteforce,dim_hecke,agree"
@@ -143,6 +146,31 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "frobenius" in err
 
 
+def test_config_values_get_the_flags_types_and_choices(capsys, tmp_path):
+    base = {"kind": "kp", "n": 4, "c": 0, "r": 2, "k": 2}
+    for bad, word in (({"n": "4"}, "'n'"),             # a string for --n
+                      ({"output": "xml"}, "xml"),      # not a choice
+                      ({"bound": True}, "'bound'")):   # a boolean for --bound
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps({**base, **bad}))
+        code, out, err = run(capsys, ["dims", "--config", str(cfgfile)])
+        assert (code, out) == (1, ""), bad
+        assert err.startswith("error: ") and word in err, err
+        assert "Traceback" not in err
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv, word in ((["dims", "--n", "abc"], "--n"),
+                       (["dims", "--kind", "xx"], "--kind"),
+                       ([], "command")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and word in err, err
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--help"])
+    assert exc.value.code == 0
+
+
 def test_derive_output(capsys):
     code, out, _ = run(capsys, ["derive", "--kind", "kp", "--n", "4",
                                 "--c", "0", "--r", "3", "--k", "3",
@@ -202,7 +230,8 @@ def test_verify_checks_never_run_vacuously(monkeypatch):
 
     for name, sized in checks.items():
         monkeypatch.setattr(cli, name, spy(name, getattr(cli, name), sized))
-    cfg = cli._merge_config(cli.build_parser().parse_args(["verify"]))
+    cfg = cli._merge_config(cli.build_parser().parse_args(
+        ["verify", "--q", "5"]))
     seen = set()
     for suite in cli.SUITES.values():
         for inv, ok, _detail in suite(cfg, False):
@@ -225,6 +254,22 @@ def test_verify_inject_fault_names_invariant(capsys):
                                 "--inject-fault"])
     assert code == 2
     assert "FAIL finite-hecke.quadratic-relation[k=2]" in out
+
+
+def test_verify_at_q_sees_the_injected_fault(capsys, monkeypatch):
+    calls = []
+    real = cli.quadratic_defect
+    monkeypatch.setattr(cli, "quadratic_defect",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run(capsys, ["verify", "--suite", "hecke", "--q", "5"])
+    assert code == 0
+    assert "ok   finite-hecke.quadratic-at-q=5" in out
+    assert (1, 2, RatFunc(5)) in calls      # the product at q0 = 5
+    code, out, _ = run(capsys, ["verify", "--suite", "hecke", "--q", "5",
+                                "--inject-fault"])
+    assert code == 2
+    assert "FAIL finite-hecke.quadratic-relation[k=2]" in out
+    assert "FAIL finite-hecke.quadratic-at-q=5" in out
 
 
 def test_verify_json_output(capsys):

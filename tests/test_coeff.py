@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +9,8 @@ from ggdim.coeff import (
     kernel_basis, poly_gcd, q_power, rf_eval,
 )
 from ggdim.hecke_finite import ASCENT, DESCENT, induced_sign_module
+
+from shared import compositions, frac_rank
 
 
 def rf(num, den=1):
@@ -134,33 +135,10 @@ def test_kernel_dim_matches_specialised_rank():
                 ev = m.eval_at(p)
             except ZeroDivisionError:
                 continue
-            r = _frac_rank(ev)
+            r = frac_rank(ev)
             best = r if best is None else max(best, r)
         assert best is not None
         assert nc - dim == best
-
-
-def _frac_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        pr[:] = [x / pr[c] for x in pr]
-        for i, other in enumerate(rows):
-            if i != rank and other[c] != 0:
-                f = other[c]
-                other[:] = [x - f * y for x, y in zip(other, pr)]
-        rank += 1
-    return rank
 
 
 def test_field_axioms_random():
@@ -274,18 +252,6 @@ def test_kernel_matches_full_scan_pivot_rule():
             assert kernel_basis(RFMatrix(m.rows)) == expect
 
 
-def _compositions(k):
-    for cuts in itertools.product((False, True), repeat=k - 1):
-        parts, run = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        yield tuple(parts + [run])
-
-
 def _hom_system(m, q0, longest_first):
     """The Hom-to-sign rows of hom_to_sign_dim, in either column order."""
     col = (lambda n: m.dim - 1 - n) if longest_first else (lambda n: n)
@@ -301,7 +267,7 @@ def _hom_system(m, q0, longest_first):
 
 def test_kernel_matches_full_scan_on_hom_systems():
     for k in range(1, 6):
-        for J in _compositions(k):
+        for J in compositions(k):
             m = induced_sign_module(k, J)
             for f in (1, 2):
                 for longest_first in (False, True):

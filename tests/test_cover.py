@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ggdim import cover
 from ggdim._intmat import hermite_row_basis
 from ggdim.cover import (
     CoverSpec, OrbitRecord, TypeSpec, derive_params, divisors, generic_cover,
-    _lattice_census, in_T_brho, kp_class_test, kp_cover, orbit_census, orbits,
-    ord_sum, savin_cover, select_representatives, verify_kp_lemma,
-    whittaker_dim_closed, x_lambda,
+    _quotient, in_T_brho, kp_class_test, kp_cover, orbit_census, orbits,
+    ord_sum, quotient_group, savin_cover, select_representatives,
+    verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
 from ggdim.symgroup import act, all_permutations, simple, young_order
 
@@ -129,7 +130,7 @@ def test_project_kernel_and_surjectivity():
         x = xg.project(t)
         seen.add(x)
         assert (x == tuple([0] * ty.k)) == in_T_brho(cov, ty, t)
-        assert xg.contains_zero(t) == in_T_brho(cov, ty, t)
+        assert xg.contains(t) == in_T_brho(cov, ty, t)
         assert xg.project(xg.lift(x)) == x
     assert len(seen) == xg.order        # small group: surjectivity visible
 
@@ -229,8 +230,8 @@ def test_minimal_coroot_multiple_is_n0():
             alpha = [0] * ty.k
             alpha[i], alpha[i + 1] = 1, -1
             mults = [m for m in range(1, cov.n + 1)
-                     if xg.contains_zero([m * a for a in alpha])]
-            assert mults and mults[0] == dp.n0
+                     if xg.contains([m * a for a in alpha])]
+            assert mults and mults[0] == dp.n0 == xg.coroot_multiplier
 
 
 def test_select_representatives_examples():
@@ -387,19 +388,25 @@ def test_census_counts_orbit_stabilizers(inst):
     assert orbit_census(xg) == Counter(rec.stabilizer for rec in orbits(xg))
 
 
-def test_census_is_shared_by_equal_lattices():
+def test_census_is_shared_by_equal_lattices(monkeypatch):
     # KP n=3, the Savin cover n=3 and KP n=6 with l0 = 2 all have the
     # relation lattice 3Z^2
     pairs = [(kp_cover(3, 0), TypeSpec(r=2, k=2, l0=1)),
              (savin_cover(3), TypeSpec(r=2, k=2, l0=1)),
              (kp_cover(6, 0), TypeSpec(r=2, k=2, l0=2))]
+    _quotient.cache_clear()
     groups = [x_lambda(cov, ty) for cov, ty in pairs]
-    assert {xg.relation_lattice for xg in groups} == {((3, 0), (0, 3))}
-    _lattice_census.cache_clear()
+    assert groups[0] is groups[1] is groups[2]
+    assert groups[0].relation_lattice == ((3, 0), (0, 3))
+    info = _quotient.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    calls = []
+    real_orbits = cover.orbits
+    monkeypatch.setattr(cover, "orbits", lambda xg, bound: calls.append(xg)
+                        or real_orbits(xg, bound))
     censuses = [orbit_census(xg) for xg in groups]
     assert censuses[0] == censuses[1] == censuses[2] == {(2,): 3, (1, 1): 3}
-    info = _lattice_census.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert len(calls) == 1
     censuses[0][(2,)] = 99          # a caller's copy, not the memo
     assert orbit_census(groups[1]) == {(2,): 3, (1, 1): 3}
 
@@ -412,3 +419,32 @@ def test_census_memo_hit_still_refuses():
     wide = x_lambda(kp_cover(1, 0), TypeSpec(r=64, k=64, l0=1))
     with pytest.raises(ValueError, match="k <= 63"):
         orbit_census(wide)
+
+
+def test_quotient_group_rejects_unstable():
+    with pytest.raises(ValueError, match="S_k-stable"):
+        quotient_group([[1, 2], [0, 5]])
+
+
+def test_quotient_group_rejects_deficient_rank():
+    with pytest.raises(ValueError, match="full rank"):
+        quotient_group([[1, 1]])
+    with pytest.raises(ValueError, match="full rank"):
+        quotient_group([[2, -2], [1, -1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(generic_instances())
+def test_coroot_multiplier_is_least_lattice_multiple(inst):
+    # the least c > 0 with c*(e_i - e_{i+1}) in T(b, rho), found by search
+    # up to |X| (the exponent of X divides its order), the same for every i
+    xg = x_lambda(*inst)
+    k = xg.k
+    for i in range(k - 1):
+        root = [0] * k
+        root[i], root[i + 1] = 1, -1
+        least = next(c for c in range(1, xg.order + 1)
+                     if xg.contains([c * x for x in root]))
+        assert least == xg.coroot_multiplier
+    if k == 1:
+        assert xg.coroot_multiplier == 1

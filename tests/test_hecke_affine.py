@@ -7,15 +7,14 @@ import pytest
 from ggdim import cover, hecke_affine
 from ggdim.coeff import RF_ONE, RF_Q, RatFunc, q_power
 from ggdim.cover import (
-    TypeSpec, _lattice_census, derive_params, kp_cover, orbits, savin_cover,
-    whittaker_dim_closed, x_lambda,
+    QuotientGroup, TypeSpec, _quotient, derive_params, kp_cover, orbits,
+    savin_cover, whittaker_dim_closed, x_lambda,
 )
 from ggdim.errors import InternalDisagreement
 from ggdim.hecke_affine import (
-    AffineHeckeElement, LatticeSpec, _lattice_spec, ah_associative_on,
-    ah_multiply, ah_one, ah_phi, ah_t, bernstein_cross,
-    bernstein_relation_holds, check_twphi_lemma, gg_module, lattice_for,
-    lattice_spec, whittaker_dim_hecke,
+    AffineHeckeElement, ah_associative_on, ah_multiply, ah_one, ah_phi, ah_t,
+    bernstein_cross, bernstein_relation_holds, check_twphi_lemma, gg_module,
+    whittaker_dim_hecke,
 )
 from ggdim.hecke_finite import (
     FiniteHeckeElement, h0_multiply, induced_sign_module, sign_hom_dim,
@@ -28,31 +27,21 @@ Q0M1 = RF_Q - RF_ONE
 
 
 def savin_lat():
-    return lattice_for(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
+    return x_lambda(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
 
 
 def kp_lat_k3():
-    return lattice_for(kp_cover(4, 0), TypeSpec(r=3, k=3, l0=1))
+    return x_lambda(kp_cover(4, 0), TypeSpec(r=3, k=3, l0=1))
 
 
-def test_lattice_for_golden():
+def test_lattice_golden():
     lat = savin_lat()
-    assert lat.basis == ((2, 0), (0, 2))
+    assert lat.relation_lattice == ((2, 0), (0, 2))
     assert lat.coroot_multiplier == 2
     lat3 = kp_lat_k3()
     assert lat3.coroot_multiplier == 4
     assert lat3.contains((2, 2, 2))
     assert not lat3.contains((2, 2, 0))
-
-
-def test_lattice_spec_rejects_unstable():
-    with pytest.raises(ValueError):
-        lattice_spec([[1, 2], [0, 5]])
-
-
-def test_lattice_spec_rejects_deficient_rank():
-    with pytest.raises(ValueError):
-        lattice_spec([[1, 1]])
 
 
 def test_bernstein_cross_commuting_case():
@@ -98,7 +87,8 @@ def test_bernstein_cross_errors():
         bernstein_cross(lat, (1, 0), 1)          # not in Y
     with pytest.raises(ValueError):
         bernstein_cross(lat, (2, 0), 2)          # bad simple index
-    broken = LatticeSpec(k=2, basis=((1, 0), (0, 1)), coroot_multiplier=2)
+    broken = QuotientGroup(2, ((1, 0), (0, 1)))      # fresh, not the memo's
+    broken.coroot_multiplier = 2
     with pytest.raises(ValueError):
         bernstein_cross(broken, (1, 0), 1)       # divisibility failure
 
@@ -257,8 +247,7 @@ def small_cases():
 
 
 def clear_memos():
-    for memo in (_lattice_census, _lattice_spec, induced_sign_module,
-                 sign_hom_dim):
+    for memo in (_quotient, induced_sign_module, sign_hom_dim):
         memo.cache_clear()
 
 

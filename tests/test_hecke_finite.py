@@ -1,6 +1,4 @@
-import itertools
 import random
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -18,23 +16,13 @@ from ggdim.symgroup import (
     all_permutations, identity, parabolic_decompose, simple, young_subgroup,
 )
 
+from shared import compositions, frac_rank
+
 T = FiniteHeckeElement.basis
 
 
 def ts(i, k):
     return T(simple(i, k))
-
-
-def all_compositions(k):
-    out = []
-    for ncuts in range(k):
-        for cuts in itertools.combinations(range(1, k), ncuts):
-            parts, prev = [], 0
-            for c in list(cuts) + [k]:
-                parts.append(c - prev)
-                prev = c
-            out.append(tuple(parts))
-    return out
 
 
 def test_length_additive_product():
@@ -167,7 +155,7 @@ def _rewrite_action(h, m, n, q0=RF_Q):
 def test_deodhar_action_matches_product_rewrite():
     for q0 in (RF_Q, q_power(2)):
         for k in range(1, 5):
-            for J in all_compositions(k):
+            for J in compositions(k):
                 m = induced_sign_module(k, J)
                 for i in range(1, k):
                     for n in range(m.dim):
@@ -181,7 +169,7 @@ def test_module_act_matches_product_rewrite_k4():
     rng = random.Random(12)
     k = 4
     perms = all_permutations(k)
-    for J in all_compositions(k):
+    for J in compositions(k):
         m = induced_sign_module(k, J)
         for _ in range(5):
             h = _random_element(rng, k, perms)
@@ -208,7 +196,7 @@ def test_module_act_examples():
 
 def test_action_matrices_satisfy_quadratic():
     for k in range(2, 5):
-        for J in all_compositions(k):
+        for J in compositions(k):
             m = induced_sign_module(k, J)
             for i in range(1, k):
                 a = action_matrix(m, ts(i, k))
@@ -230,7 +218,7 @@ def test_module_action_is_algebra_action():
     rng = random.Random(9)
     k = 3
     perms = all_permutations(k)
-    for J in all_compositions(k):
+    for J in compositions(k):
         m = induced_sign_module(k, J)
         for _ in range(20):
             a = _random_element(rng, k, perms)
@@ -244,13 +232,13 @@ def test_module_action_is_algebra_action():
 def test_hom_to_sign_dims():
     assert hom_to_sign_dim(induced_sign_module(3, (2, 1))) == 1
     assert hom_to_sign_dim(induced_sign_module(2, (1, 1))) == 1
-    for J in all_compositions(4):
+    for J in compositions(4):
         assert hom_to_sign_dim(induced_sign_module(4, J)) == 1
 
 
 def test_hom_to_sign_dim_all_compositions_k5():
     for k in range(1, 6):
-        for J in all_compositions(k):
+        for J in compositions(k):
             assert hom_to_sign_dim(induced_sign_module(k, J)) == 1
 
 
@@ -268,7 +256,7 @@ def _natural_order_hom_dim(m, q0):
 
 def test_longest_first_columns_keep_the_dimension():
     for k in range(1, 6):
-        for J in all_compositions(k):
+        for J in compositions(k):
             m = induced_sign_module(k, J)
             for f in (1, 2):
                 q0 = q_power(f)
@@ -283,7 +271,7 @@ def test_specialisation_consistency_q7():
     # computing the Hom dimension after evaluating the action matrices at
     # q = 7 gives the same answer as the symbolic computation
     for k in range(2, 5):
-        for J in all_compositions(k):
+        for J in compositions(k):
             m = induced_sign_module(k, J)
             sym = hom_to_sign_dim(m)
             rows = []
@@ -293,23 +281,4 @@ def test_specialisation_consistency_q7():
                     row = [rf_eval(a[y][x], 7) for y in range(m.dim)]
                     row[x] += 1
                     rows.append(row)
-            assert m.dim - _frac_rank(rows) == sym
-
-
-def _frac_rank(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        pr[:] = [x / pr[c] for x in pr]
-        for i, other in enumerate(rows):
-            if i != rank and other[c] != 0:
-                f = other[c]
-                other[:] = [x - f * y for x, y in zip(other, pr)]
-        rank += 1
-    return rank
+            assert m.dim - frac_rank(rows) == sym

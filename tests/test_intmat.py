@@ -1,4 +1,4 @@
-import random
+from hypothesis import given, settings, strategies as st
 
 from ggdim._intmat import (
     hermite_row_basis, hnf_contains, ident, mat_mul, smith_normal_form,
@@ -18,64 +18,86 @@ def _det(m):
     return out
 
 
-def test_snf_random():
-    rng = random.Random(42)
-    for _ in range(200):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        u, uinv, d, v = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == d
-        assert mat_mul(u, uinv) == ident(m)
-        assert abs(_det(u)) == 1
-        assert abs(_det(v)) == 1
-        diag = [d[i][i] for i in range(min(m, n))]
-        # off-diagonal zero
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-        # nonnegative, divisibility chain, zeros trailing
-        assert all(x >= 0 for x in diag)
-        for x, y in zip(diag, diag[1:]):
-            if x == 0:
-                assert y == 0
-            else:
-                assert y % x == 0
+def matrices(max_rows=4, max_cols=4, lo=-6, hi=6):
+    return st.integers(1, max_cols).flatmap(lambda n: st.lists(
+        st.lists(st.integers(lo, hi), min_size=n, max_size=n),
+        min_size=1, max_size=max_rows))
 
 
-def test_hnf_basis_canonical_and_membership():
-    rng = random.Random(7)
-    for _ in range(200):
-        k = rng.randint(1, 4)
-        nrows = rng.randint(1, 5)
-        rows = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(nrows)]
-        basis = hermite_row_basis(rows)
-        # canonical shape: pivots positive, strictly increasing pivot columns,
-        # entries above pivots reduced
-        pivots = []
-        for row in basis:
-            c = next(j for j, x in enumerate(row) if x)
-            assert row[c] > 0
-            pivots.append(c)
-        assert pivots == sorted(set(pivots))
-        for i, row in enumerate(basis):
-            for j, c in enumerate(pivots):
-                if j > i:
-                    assert 0 <= row[c] < basis[j][c]
-        # generators are members; random lattice combos are members
-        for r in rows:
-            assert hnf_contains(basis, r)
-        for _ in range(5):
-            combo = [0] * k
-            for r in rows:
-                f = rng.randint(-3, 3)
-                combo = [x + f * y for x, y in zip(combo, r)]
-            assert hnf_contains(basis, combo)
-        # invariance under generator order
-        shuffled = rows[:]
-        rng.shuffle(shuffled)
-        assert hermite_row_basis(shuffled) == basis
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_snf_random(a):
+    m, n = len(a), len(a[0])
+    u, uinv, d, v = smith_normal_form(a)
+    assert mat_mul(mat_mul(u, a), v) == d
+    assert mat_mul(u, uinv) == ident(m)
+    assert abs(_det(u)) == 1
+    assert abs(_det(v)) == 1
+    # off-diagonal zero
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    # nonnegative, divisibility chain, zeros trailing
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert y == 0 if x == 0 else y % x == 0
+
+
+@st.composite
+def generator_sets(draw):
+    """Generating rows; the same rows permuted and mixed by a unimodular
+    matrix (a product of elementary row operations); integer combinations
+    of the rows; and a probe vector."""
+    rows = draw(matrices(max_rows=5, lo=-5, hi=5))
+    k, nrows = len(rows[0]), len(rows)
+    permuted = draw(st.permutations(rows))
+    mixed = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, nrows - 1))
+        j = draw(st.integers(0, nrows - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            f = draw(st.integers(-3, 3))
+            mixed[i] = [x + f * y for x, y in zip(mixed[i], mixed[j])]
+        elif op == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif op == "negate":
+            mixed[i] = [-x for x in mixed[i]]
+    combos = []
+    for coeffs in draw(st.lists(st.lists(st.integers(-3, 3), min_size=nrows,
+                                         max_size=nrows), max_size=5)):
+        combo = [0] * k
+        for f, r in zip(coeffs, rows):
+            combo = [x + f * y for x, y in zip(combo, r)]
+        combos.append(combo)
+    probe = draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))
+    return rows, permuted, mixed, combos, probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_hnf_basis_canonical_and_membership(case):
+    rows, permuted, mixed, combos, probe = case
+    basis = hermite_row_basis(rows)
+    # canonical shape: pivots positive, strictly increasing pivot columns,
+    # entries above pivots reduced
+    pivots = []
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        assert row[c] > 0
+        pivots.append(c)
+    assert pivots == sorted(set(pivots))
+    for i, row in enumerate(basis):
+        for j, c in enumerate(pivots):
+            if j > i:
+                assert 0 <= row[c] < basis[j][c]
+    # the same lattice from permuted or unimodularly mixed generators
+    assert hermite_row_basis(permuted) == basis
+    assert hermite_row_basis(mixed) == basis
+    # generators and their integer combinations are members
+    assert all(hnf_contains(basis, r) for r in rows + mixed + combos)
+    # membership agrees with "adding the vector leaves the lattice unchanged"
+    assert hnf_contains(basis, probe) == \
+        (hermite_row_basis(rows + [probe]) == basis)
 
 
 def test_hnf_non_membership():
