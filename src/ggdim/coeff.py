@@ -370,6 +370,15 @@ RF_ONE = RatFunc(P_ONE)
 RF_Q = RatFunc(P_Q)
 
 
+def add_term(acc: dict, key, c: RatFunc) -> None:
+    """acc[key] += c in place, dropping key when the sum is zero."""
+    v = acc.get(key, RF_ZERO) + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
 def q_power(f: int) -> RatFunc:
     """The monomial q^f as a RatFunc (f >= 0)."""
     return RatFunc(IntPoly.monomial(f))

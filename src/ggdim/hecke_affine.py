@@ -26,21 +26,27 @@ with m = (t_i - t_{i+1})/c, and it equals both phi_t*T_s - T_s*phi_{s.t} and
 T_s*phi_t - phi_{s.t}*T_s (the relation is symmetric in that sense).
 bernstein_cross returns the normal form of T_{s_i} * phi_t, i.e. the element
 phi_{s.t}*T_s plus that lattice part; general products rewrite T_s past
-lattice factors with it, one reduced-word letter at a time.
+lattice factors with it, one reduced-word letter at a time, and multiply the
+finite parts by hecke_finite.finite_product, the one product rule of H_0.
+Coefficients accumulate through coeff.add_term.
 
-The checks that `ggdim verify`, the acceptance criteria and the unit tests
+The check that `ggdim verify`, the acceptance criteria and the unit tests
 share: bernstein_relation_holds (the relation at one t and s_i, both as a
-normal form and times 1 - phi_{-a}) and ah_associative_on.
+normal form and times 1 - phi_{-a}).  Associativity is checked by
+hecke_finite.associative_on, which multiplies by * and so covers this
+algebra as well.
 
 The Gelfand-Graev module attached to a cover and type decomposes into one
 summand per S_k-orbit on X(lambda); each is the free C[Y]-module on the sign
 module induced from the orbit's stabilizer composition J.  Orbits with the
-same J give isomorphic summands, so a block is (J, N_J, module): the
-composition, its number of orbits from the lattice's orbit census, and the
-induced module, built once per (k, J).  A homomorphism from C[Y] (x) W to a
-one-dimensional module is determined by its restriction to W, so the
-Whittaker dimension is sum_J N_J * dim Hom(H_0 (x)_{H_J} eps_J, sign), each
-Hom dimension computed once per (k, J, f).  (The one-dimensional
+same J give isomorphic summands, so a block is (J, N_J): the composition
+and its number of orbits from the lattice's orbit census.  A block has rank
+N_J * k!/|W_J| over C[Y], and gg_module checks that the ranks sum to |X|.
+The induced module itself is built only inside sign_hom_dim, once per
+(k, J).  A homomorphism from C[Y] (x) W to a one-dimensional module is
+determined by its restriction to W, so the Whittaker dimension is
+sum_J N_J * dim Hom(H_0 (x)_{H_J} eps_J, sign), each Hom dimension computed
+once per (k, J, f).  (The one-dimensional
 C[Y]-action on the target is a scalar normalisation with no effect on
 dimensions; it is fixed to 1 throughout.)  Before any module is built the
 Hecke leg's kernel width, sum over the distinct J of k!/|W_J| columns, is
@@ -52,16 +58,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
-from .coeff import IntPoly, RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
+from .coeff import IntPoly, RF_ONE, RF_Q, RatFunc, add_term, q_power
 from .cover import (
     CoverSpec, TypeSpec, DEFAULT_ORBIT_BOUND, QuotientGroup, orbit_census,
     ord_sum, x_lambda,
 )
 from .errors import InternalDisagreement, WorkLimitExceeded
-from .hecke_finite import (
-    RF_MINUS_ONE, FiniteHeckeElement, h0_multiply, induced_sign_module,
-    sign_hom_dim,
-)
+from .hecke_finite import RF_MINUS_ONE, finite_product, sign_hom_dim
 from .symgroup import (
     Permutation, act, identity, length, reduced_word, simple, young_order,
 )
@@ -97,11 +100,7 @@ class AffineHeckeElement:
         self._check_same(other)
         out = dict(self.support)
         for key, c in other.support.items():
-            v = out.get(key, RF_ZERO) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            add_term(out, key, c)
         return AffineHeckeElement(self.lattice, out, _checked=True)
 
     def scale(self, c) -> "AffineHeckeElement":
@@ -173,23 +172,17 @@ def bernstein_cross(lat: QuotientGroup, t, i: int,
             "(quotient-group bug)" % (diff, cm))
     m = diff // cm
     s = simple(i, k)
-    st = act(s, t)
-    supp = {(st, s): RF_ONE}
-    q0m1 = q0 - RF_ONE
-    if m > 0:
-        for j in range(m):
-            lab = list(t)
-            lab[i - 1] -= j * cm
-            lab[i] += j * cm
-            key = (tuple(lab), identity(k))
-            supp[key] = supp.get(key, RF_ZERO) + q0m1
-    elif m < 0:
-        for j in range(1, -m + 1):
-            lab = list(t)
-            lab[i - 1] += j * cm
-            lab[i] -= j * cm
-            key = (tuple(lab), identity(k))
-            supp[key] = supp.get(key, RF_ZERO) - q0m1
+    supp = {(act(s, t), s): RF_ONE}
+    # the geometric sum over phi_{t - j*a}: j = 0..m-1 with +(q0-1) for
+    # m > 0, j = -1..m with -(q0-1) for m < 0, nothing for m = 0
+    step = 1 if m > 0 else -1
+    start = 0 if m > 0 else -1
+    coef = (q0 - RF_ONE) * step
+    for j in range(start, start + m, step):
+        lab = list(t)
+        lab[i - 1] -= j * cm
+        lab[i] += j * cm
+        add_term(supp, (tuple(lab), identity(k)), coef)
     return AffineHeckeElement(lat, supp, _checked=True)
 
 
@@ -219,28 +212,13 @@ def _cross_word_phi(lat: QuotientGroup, word: tuple, u: tuple, q0: RatFunc,
     hit = memo.get(key)
     if hit is not None:
         return hit
-    tail = _cross_word_phi(lat, word[1:], u, q0, memo)
-    i = word[0]
-    k = lat.k
     out: dict = {}
-    for (x, y), c in tail.items():
-        crossed = bernstein_cross(lat, x, i, q0)
-        for (x2, y2), c2 in crossed.support.items():
-            # multiply the finite parts: T_{y2} * T_y
-            if y2.is_identity():
-                fin = {y: RF_ONE}
-            else:
-                prod = h0_multiply(FiniteHeckeElement.basis(y2),
-                                   FiniteHeckeElement.basis(y), q0)
-                fin = prod.support
-            cc = c * c2
-            for z, cz in fin.items():
-                lab = (x2, z)
-                v = out.get(lab, RF_ZERO) + cc * cz
-                if v:
-                    out[lab] = v
-                else:
-                    out.pop(lab, None)
+    for (x, y), c in _cross_word_phi(lat, word[1:], u, q0, memo).items():
+        for (x2, y2), c2 in bernstein_cross(lat, x, word[0], q0).support.items():
+            # phi_{x2} * T_{y2} * T_y
+            for z, cz in finite_product({y2: c * c2}, {y: RF_ONE}, lat.k,
+                                        q0).items():
+                add_term(out, (x2, z), cz)
     memo[key] = out
     return out
 
@@ -255,72 +233,43 @@ def ah_multiply(a: AffineHeckeElement, b: AffineHeckeElement,
     for (t, w), ca in a.support.items():
         word = reduced_word(w)
         for (u, v), cb in b.support.items():
-            mid = _cross_word_phi(lat, word, u, q0, memo)
             cab = ca * cb
-            for (x, y), cm_ in mid.items():
+            for (x, y), c in _cross_word_phi(lat, word, u, q0, memo).items():
                 # phi_t * (phi_x * T_y) * T_v
-                if y.is_identity():
-                    fin = {v: RF_ONE}
-                elif v.is_identity():
-                    fin = {y: RF_ONE}
-                else:
-                    fin = h0_multiply(FiniteHeckeElement.basis(y),
-                                      FiniteHeckeElement.basis(v), q0).support
-                lab0 = tuple(ti + xi for ti, xi in zip(t, x))
-                for z, cz in fin.items():
-                    lab = (lab0, z)
-                    val = acc.get(lab, RF_ZERO) + cab * cm_ * cz
-                    if val:
-                        acc[lab] = val
-                    else:
-                        acc.pop(lab, None)
+                lab = tuple(ti + xi for ti, xi in zip(t, x))
+                for z, cz in finite_product({y: cab * c}, {v: RF_ONE}, lat.k,
+                                            q0).items():
+                    add_term(acc, (lab, z), cz)
     return AffineHeckeElement(lat, acc, _checked=True)
 
 
-def ah_associative_on(triples) -> bool:
-    """(a*b)*c = a*(b*c) under ah_multiply for every (a, b, c) in triples."""
-    return all(ah_multiply(ah_multiply(a, b), c) == ah_multiply(a, ah_multiply(b, c))
-               for a, b, c in triples)
-
-
-@dataclass
-class GGModule:
-    """Block data of the Gelfand-Graev module: one block per stabilizer type."""
-    blocks: list          # (composition J, orbit count N_J, InducedSignModule)
-    x_order: int
-
-    def total_rank(self) -> int:
-        return sum(mult * m.dim for _J, mult, m in self.blocks)
-
-
 def gg_module(cov: CoverSpec, ty: TypeSpec,
-              bound: int = DEFAULT_ORBIT_BOUND) -> GGModule:
-    """The block decomposition over the orbit census of X(lambda)."""
+              bound: int = DEFAULT_ORBIT_BOUND) -> list:
+    """The blocks (J, N_J) of the Gelfand-Graev module, from the orbit census."""
     if cov.kind not in ("kp", "savin"):
         raise ValueError("module decomposition asserted only for KP/Savin")
     xg = x_lambda(cov, ty)
     census = orbit_census(xg, bound=bound)
     if None in census:
         raise ValueError("%d orbits with a non-Young stabilizer" % census[None])
-    width = sum(factorial(ty.k) // young_order(J) for J in census)
+    rank = {J: factorial(ty.k) // young_order(J) for J in census}
+    width = sum(rank.values())
     if width > MAX_HECKE_COLUMNS:
         raise WorkLimitExceeded(
             "the Hecke leg needs kernels of %d columns in all, over the "
             "limit of %d" % (width, MAX_HECKE_COLUMNS))
-    blocks = [(J, mult, induced_sign_module(ty.k, J))
-              for J, mult in census.items()]
-    gg = GGModule(blocks=blocks, x_order=xg.order)
-    if gg.total_rank() != xg.order:
+    total = sum(mult * rank[J] for J, mult in census.items())
+    if total != xg.order:
         raise InternalDisagreement(
-            "block ranks sum to %d, |X| = %d" % (gg.total_rank(), xg.order))
-    return gg
+            "block ranks sum to %d, |X| = %d" % (total, xg.order))
+    return list(census.items())
 
 
 def whittaker_dim_hecke(cov: CoverSpec, ty: TypeSpec,
                         bound: int = DEFAULT_ORBIT_BOUND) -> int:
     """Sum of Hom-to-sign dimensions over the blocks, weighted by orbit count."""
-    gg = gg_module(cov, ty, bound=bound)
-    return sum(mult * sign_hom_dim(ty.k, J, ty.f) for J, mult, _m in gg.blocks)
+    return sum(mult * sign_hom_dim(ty.k, J, ty.f)
+               for J, mult in gg_module(cov, ty, bound=bound))
 
 
 @dataclass

@@ -8,7 +8,10 @@ H_0 has vector basis {T_w : w in S_k} over Q(q), with multiplication fixed by
 extended along reduced words; equivalently (T_s + 1)(T_s - q0) = 0 plus the
 braid relations.  The parameter q0 is passed explicitly to the operations (it
 is q^f for the cover at hand, default the monomial q), so elements themselves
-are plain linear combinations and carry no algebra state.
+are plain linear combinations and carry no algebra state.  finite_product is
+the one place where this rule is applied: h0_multiply wraps it, and the
+affine algebra multiplies its finite parts with it.  Coefficients accumulate
+through coeff.add_term.
 
 For a composition J of k, the parabolic subalgebra H_J is spanned by the T_u
 with u in the Young subgroup W_J, and eps_J denotes its sign character,
@@ -34,7 +37,8 @@ dimension on (k, J, f) for the life of the process; their cache_info()
 counts hits and misses and cache_clear() empties them.
 
 The checks of the relations that `ggdim verify`, the acceptance criteria and
-the unit tests share: quadratic_defect, braid_relation_holds, associative_on.
+the unit tests share: quadratic_defect, braid_relation_holds, associative_on
+(the last multiplies by *, so it checks the affine algebra too).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import functools
 from math import factorial
 
 from .coeff import (
-    RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, kernel_basis, q_power,
+    RF_ONE, RF_Q, RF_ZERO, RatFunc, RFMatrix, add_term, kernel_basis, q_power,
 )
 from .errors import InternalDisagreement
 from .symgroup import (
@@ -82,11 +86,7 @@ class FiniteHeckeElement:
             raise ValueError("rank mismatch: %d vs %d" % (self.k, other.k))
         out = dict(self.support)
         for w, c in other.support.items():
-            v = out.get(w, RF_ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            add_term(out, w, c)
         return FiniteHeckeElement(self.k, out)
 
     def scale(self, c) -> "FiniteHeckeElement":
@@ -122,23 +122,24 @@ def _right_mult_simple(k: int, support: dict, i: int, q0: RatFunc) -> dict:
     for w, c in support.items():
         ws = w * s
         if w(i) < w(i + 1):          # length goes up
-            v = out.get(ws, RF_ZERO) + c
-            if v:
-                out[ws] = v
-            else:
-                out.pop(ws, None)
+            add_term(out, ws, c)
         else:
-            v = out.get(ws, RF_ZERO) + c * q0
-            if v:
-                out[ws] = v
-            else:
-                out.pop(ws, None)
-            v = out.get(w, RF_ZERO) + c * q0m1
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            add_term(out, ws, c * q0)
+            add_term(out, w, c * q0m1)
     return out
+
+
+def finite_product(a: dict, b: dict, k: int, q0: RatFunc) -> dict:
+    """Product of two support dicts of H(S_k, q0), each T_v of b applied to a
+    on the right letter by letter along the reduced word of v."""
+    acc: dict = {}
+    for v, cb in b.items():
+        cur = a
+        for i in reduced_word(v):
+            cur = _right_mult_simple(k, cur, i, q0)
+        for w, c in cur.items():
+            add_term(acc, w, c * cb)
+    return acc
 
 
 def h0_multiply(a: FiniteHeckeElement, b: FiniteHeckeElement,
@@ -146,19 +147,7 @@ def h0_multiply(a: FiniteHeckeElement, b: FiniteHeckeElement,
     """Product in H_0 with parameter q0."""
     if a.k != b.k:
         raise ValueError("rank mismatch: %d vs %d" % (a.k, b.k))
-    k = a.k
-    acc: dict = {}
-    for v, cb in b.support.items():
-        cur = a.support
-        for i in reduced_word(v):
-            cur = _right_mult_simple(k, cur, i, q0)
-        for w, c in cur.items():
-            x = acc.get(w, RF_ZERO) + c * cb
-            if x:
-                acc[w] = x
-            else:
-                acc.pop(w, None)
-    return FiniteHeckeElement(k, acc)
+    return FiniteHeckeElement(a.k, finite_product(a.support, b.support, a.k, q0))
 
 
 def quadratic_defect(i: int, k: int, q0: RatFunc = RF_Q) -> FiniteHeckeElement:
@@ -180,9 +169,12 @@ def braid_relation_holds(i: int, k: int, q0: RatFunc = RF_Q) -> bool:
 
 
 def associative_on(triples) -> bool:
-    """(a*b)*c = a*(b*c) in H(S_k, q) for every (a, b, c) in triples."""
-    return all(h0_multiply(h0_multiply(a, b), c) == h0_multiply(a, h0_multiply(b, c))
-               for a, b, c in triples)
+    """(a*b)*c = a*(b*c) for every (a, b, c) in triples.
+
+    The elements multiply by *, at q0 = q, so the triples may come from
+    H(S_k, q) or from the affine algebra of hecke_affine.
+    """
+    return all((a * b) * c == a * (b * c) for a, b, c in triples)
 
 
 def sign_value(w: Permutation) -> RatFunc:

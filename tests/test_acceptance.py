@@ -22,8 +22,8 @@ from ggdim.cover import (
     verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
 from ggdim.hecke_affine import (
-    AffineHeckeElement, ah_associative_on, bernstein_relation_holds,
-    check_twphi_lemma, whittaker_dim_hecke,
+    AffineHeckeElement, bernstein_relation_holds, check_twphi_lemma,
+    whittaker_dim_hecke,
 )
 from ggdim.hecke_finite import (
     FiniteHeckeElement, associative_on, braid_relation_holds, hom_to_sign_dim,
@@ -190,7 +190,7 @@ def test_criterion_06_bernstein_suite():
                         RatFunc(rng.randint(-2, 2))}
                 elts.append(AffineHeckeElement(lat, supp))
             triples.append(tuple(elts))
-        if not ah_associative_on(triples):
+        if not associative_on(triples):
             failures.append("affine associativity")
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 120.0

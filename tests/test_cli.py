@@ -327,12 +327,12 @@ def test_dims_refuses_hecke_leg_over_work_limit(capsys, monkeypatch):
     # KP n=4, k=8: |X| = 65536 is within --bound, but its 64 stabilizer
     # types need 46875 kernel columns; the refusal comes from the census
     # alone, before any module is built
-    from ggdim import hecke_affine
+    from ggdim import hecke_finite
 
     def refuse(k, J):
         raise AssertionError("module (%d, %s) built" % (k, J))
 
-    monkeypatch.setattr(hecke_affine, "induced_sign_module", refuse)
+    monkeypatch.setattr(hecke_finite, "induced_sign_module", refuse)
     code, out, err = run(capsys, ["dims", "--kind", "kp", "--n", "4",
                                   "--r", "8", "--k", "8"])
     assert code == 1

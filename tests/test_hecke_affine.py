@@ -12,12 +12,13 @@ from ggdim.cover import (
 )
 from ggdim.errors import InternalDisagreement
 from ggdim.hecke_affine import (
-    AffineHeckeElement, ah_associative_on, ah_multiply, ah_one, ah_phi, ah_t,
-    bernstein_cross, bernstein_relation_holds, check_twphi_lemma, gg_module,
+    AffineHeckeElement, ah_multiply, ah_one, ah_phi, ah_t, bernstein_cross,
+    bernstein_relation_holds, check_twphi_lemma, gg_module,
     whittaker_dim_hecke,
 )
 from ggdim.hecke_finite import (
-    FiniteHeckeElement, h0_multiply, induced_sign_module, sign_hom_dim,
+    FiniteHeckeElement, associative_on, h0_multiply, induced_sign_module,
+    sign_hom_dim,
 )
 from ggdim.symgroup import (
     Permutation, all_permutations, identity, simple,
@@ -180,8 +181,8 @@ def test_associativity_random_triples():
                     supp[(rng.choice(window), rng.choice(perms))] = RatFunc(c)
             return AffineHeckeElement(lat, supp)
 
-        assert ah_associative_on([(rand_elt(), rand_elt(), rand_elt())
-                                  for _ in range(25)])
+        assert associative_on([(rand_elt(), rand_elt(), rand_elt())
+                               for _ in range(25)])
 
 
 def test_affine_associativity_check_sees_a_corrupted_product(monkeypatch):
@@ -192,7 +193,7 @@ def test_affine_associativity_check_sees_a_corrupted_product(monkeypatch):
     monkeypatch.setattr(
         hecke_affine, "ah_multiply", lambda a, b, q0=RF_Q:
         real(a, b, q0).scale(RatFunc(2 if a == ts else 1)))
-    assert not ah_associative_on([(ah_phi(lat, (2, 0)), ts, ts)])
+    assert not associative_on([(ah_phi(lat, (2, 0)), ts, ts)])
 
 
 def test_ah_multiply_lattice_mismatch():
@@ -200,28 +201,30 @@ def test_ah_multiply_lattice_mismatch():
         ah_multiply(ah_one(savin_lat()), ah_one(kp_lat_k3()))
 
 
+def total_rank(k, blocks):
+    """Sum of N_J * dim over the blocks, with the modules' own dimensions."""
+    return sum(mult * induced_sign_module(k, J).dim for J, mult in blocks)
+
+
 def test_gg_module_golden_kp():
-    gg = gg_module(kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1))
-    assert sum(mult for _J, mult, _m in gg.blocks) == 10     # orbits
-    assert gg.total_rank() == 16
-    assert gg.x_order == 16
+    blocks = gg_module(kp_cover(4, 0), TypeSpec(r=2, k=2, l0=1))
+    assert sum(mult for _J, mult in blocks) == 10     # orbits
+    assert total_rank(2, blocks) == 16                # |X|
 
 
 def test_gg_module_golden_savin():
-    gg = gg_module(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
+    blocks = gg_module(savin_cover(4), TypeSpec(r=2, k=2, l0=1))
     # three orbits, of ranks 1, 2, 1
-    assert [(J, mult, m.dim) for J, mult, m in gg.blocks] == \
+    assert [(J, mult, induced_sign_module(2, J).dim) for J, mult in blocks] == \
         [((2,), 2, 1), ((1, 1), 1, 2)]
-    assert gg.total_rank() == 4
+    assert total_rank(2, blocks) == 4
 
 
 def test_gg_module_trivial_cover():
-    gg = gg_module(kp_cover(1, 0), TypeSpec(r=4, k=4, l0=1))
-    assert len(gg.blocks) == 1
-    J, mult, mod = gg.blocks[0]
-    assert (J, mult) == ((4,), 1)
-    assert mod.dim == 1
-    assert gg.total_rank() == 1
+    blocks = gg_module(kp_cover(1, 0), TypeSpec(r=4, k=4, l0=1))
+    assert blocks == [((4,), 1)]
+    assert induced_sign_module(4, (4,)).dim == 1
+    assert total_rank(4, blocks) == 1
 
 
 def test_gg_module_generic_rejected():
