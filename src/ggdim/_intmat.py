@@ -6,7 +6,8 @@ lists of lists of Python ints, so there is no overflow to worry about.
 smith_normal_form returns (U, Uinv, D, V) with U*A*V = D, U and V unimodular,
 D diagonal with nonnegative entries satisfying the divisibility chain
 d_1 | d_2 | ... .  Uinv is maintained alongside U because callers use both
-directions of the change of basis (project/lift).
+directions of the change of basis (QuotientGroup.perm_matrix conjugates by
+U and Uinv).
 
 hermite_row_basis returns the canonical row-style Hermite normal form of the
 lattice generated by the input rows: pivot columns strictly increasing,

@@ -98,9 +98,6 @@ class FieldElem:
     def power(self, m: int) -> "FieldElem":
         return FieldElem(m * self.valuation, m * self.unit_exp)
 
-    def is_unit(self) -> bool:
-        return self.valuation == 0
-
 
 ONE = FieldElem(0, 0)
 UNIFORMIZER = FieldElem(1, 0)

@@ -46,7 +46,8 @@ guessed (not observed for KP/Savin, conceivable for Generic).
 
 QuotientGroup is the one object for the lattice T(b, rho) and its quotient:
 besides the Smith data it refuses a lattice that is not full rank or not
-S_k-stable, tests membership (contains), and gives the coroot multiplier
+S_k-stable (checked on the generators s_1 and (1 2 ... k) of S_k), tests
+membership (contains), and gives the coroot multiplier
 that the Bernstein presentation over Y = T(b, rho) needs, as the order of
 the class of e_1 - e_2 in X(lambda).  quotient_group keeps one object per
 HNF basis and process, so instances sharing a lattice share its orbit census
@@ -69,7 +70,7 @@ from ._intmat import (
     hermite_row_basis, hnf_contains, mat_mul, mat_vec, smith_normal_form,
 )
 from .errors import InternalDisagreement
-from .symgroup import act, simple, young_composition, young_order
+from .symgroup import Permutation, act, simple, young_composition, young_order
 
 KIND_KP = "kp"
 KIND_SAVIN = "savin"
@@ -181,25 +182,28 @@ def in_T_brho(cov: CoverSpec, ty: TypeSpec, t) -> bool:
 class QuotientGroup:
     """X = Z^k / Y for a full-rank S_k-stable lattice Y, with its S_k action.
 
-    relation_lattice is the HNF basis of Y and contains tests membership in
-    Y.  project maps an exponent vector to its canonical tuple of residues
-    (coordinates along the Smith basis, reduced mod the invariant factors);
-    lift gives one integer preimage.  The kernel of project is exactly Y.
+    The constructor takes the HNF basis of Y (hermite_row_basis output, as
+    quotient_group passes it) and stores it as relation_lattice without
+    reducing it again; contains tests membership in Y.  project maps an
+    exponent vector to its canonical tuple of residues (coordinates along the
+    Smith basis, reduced mod the invariant factors).  The kernel of project
+    is exactly Y.
     coroot_multiplier is the order of the class of e_1 - e_2 in X, i.e. the
     least c > 0 with c*(e_1 - e_2) in Y; S_k-stability makes it the same for
     every e_i - e_{i+1}.  census is the orbit census, computed on first use
     and kept on the object; quotient_group keeps one object per lattice.
     """
 
-    def __init__(self, k: int, relation_rows):
+    def __init__(self, k: int, hnf_basis: tuple):
         self.k = k
-        self.relation_lattice = hermite_row_basis(relation_rows)
+        self.relation_lattice = hnf_basis
         if len(self.relation_lattice) != k:
             raise ValueError("relation lattice does not have full rank %d" % k)
-        # S_k-stability, which perm_matrix presumes: the simple reflections
-        # map every basis vector into Y
-        for i in range(1, k):
-            if not all(self.contains(act(simple(i, k), row))
+        # S_k-stability, which perm_matrix presumes: s_1 and the k-cycle,
+        # which generate S_k, map every basis vector into Y
+        if k > 1:
+            gens = (simple(1, k), Permutation(tuple(range(2, k + 1)) + (1,)))
+            if not all(self.contains(act(g, row)) for g in gens
                        for row in self.relation_lattice):
                 raise ValueError("relation lattice is not S_k-stable")
         # Smith form of the basis matrix B (basis vectors as columns)
@@ -226,9 +230,6 @@ class QuotientGroup:
         raw = mat_vec(self._u, t)
         return tuple(x % f for x, f in zip(raw, self.invariant_factors))
 
-    def lift(self, x) -> tuple:
-        return mat_vec(self._uinv, x)
-
     def contains(self, t) -> bool:
         """Is t in the relation lattice (i.e. projects to 0)?"""
         return hnf_contains(self.relation_lattice, t)
@@ -238,10 +239,6 @@ class QuotientGroup:
         k = self.k
         p = [[1 if w(j + 1) - 1 == i else 0 for j in range(k)] for i in range(k)]
         return mat_mul(mat_mul(self._u, p), self._uinv)
-
-    def act_class(self, w, x) -> tuple:
-        raw = mat_vec(self.perm_matrix(w), x)
-        return tuple(v % f for v, f in zip(raw, self.invariant_factors))
 
     @functools.cached_property
     def census(self) -> tuple:

@@ -177,11 +177,6 @@ def associative_on(triples) -> bool:
     return all((a * b) * c == a * (b * c) for a, b, c in triples)
 
 
-def sign_value(w: Permutation) -> RatFunc:
-    """The sign character on the basis: T_w -> (-1)^length(w)."""
-    return RF_MINUS_ONE if length(w) % 2 else RF_ONE
-
-
 # the three cases of Deodhar's lemma for T_s . x
 DESCENT = 0       # sx < x:            q0*sx + (q0-1)*x
 ASCENT = 1        # sx > x, sx in W^J: sx

@@ -7,7 +7,7 @@ Conventions, fixed once here and shared by every other module:
   * the action on integer vectors permutes coordinates by (w.v)_i = v_{w^{-1}(i)},
     which makes act(w, act(w', v)) = act(w*w', v) a left action;
   * reduced words are lexicographically smallest, with the leftmost factor
-    applied last, so compose_word((2,1), 3) = s_2 * s_1.
+    applied last, so the word (2, 1) stands for s_2 * s_1.
 
 Simple reflections are indexed 1..k-1, s_i swapping i and i+1.  A Young
 subgroup is given by a composition (k_1,...,k_l) of k and realised as the
@@ -122,14 +122,6 @@ def reduced_word(w: Permutation) -> tuple:
     return tuple(word)
 
 
-def compose_word(word, k: int) -> Permutation:
-    """Product s_{word[0]} * s_{word[1]} * ... (so the leftmost acts last)."""
-    w = identity(k)
-    for i in word:
-        w = w * simple(i, k)
-    return w
-
-
 def young_subgroup(c) -> frozenset:
     """Simple indices generating S_{k_1} x ... x S_{k_l} inside S_k.
 
@@ -163,23 +155,6 @@ def young_order(c) -> int:
     for p in c:
         out *= factorial(p)
     return out
-
-
-def subgroup_elements(k: int, J) -> list:
-    """All elements of the standard parabolic W_J, by closure under generators."""
-    gens = [simple(j, k) for j in sorted(J)]
-    seen = {identity(k)}
-    frontier = [identity(k)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen, key=lambda w: (length(w), w.one_line))
 
 
 def min_coset_reps(k: int, J) -> list:

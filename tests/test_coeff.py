@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggdim.coeff import (
     IntPoly, RatFunc, RFMatrix, P_ONE, RF_ONE, RF_ZERO, RF_Q,
-    kernel_basis, poly_gcd, q_power, rf_eval,
+    add_term, kernel_basis, poly_gcd, q_power, rf_eval,
 )
 from ggdim.hecke_finite import ASCENT, DESCENT, induced_sign_module
 
@@ -83,6 +83,18 @@ def test_q_power():
     assert q_power(0) == RF_ONE
     assert q_power(1) == RF_Q
     assert q_power(3) == RF_Q * RF_Q * RF_Q
+
+
+def test_add_term_accumulates_and_drops_zero_sums():
+    acc = {"a": RF_ONE}
+    add_term(acc, "b", RF_Q)                 # a new key
+    assert acc == {"a": RF_ONE, "b": RF_Q}
+    add_term(acc, "a", RF_Q)                 # an existing key
+    assert acc == {"a": RF_ONE + RF_Q, "b": RF_Q}
+    add_term(acc, "b", -RF_Q)                # cancels to 0: b is dropped
+    assert acc == {"a": RF_ONE + RF_Q}
+    add_term(acc, "c", RF_ZERO)              # a zero term never enters
+    assert acc == {"a": RF_ONE + RF_Q}
 
 
 # -- kernels ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggdim import cover
-from ggdim._intmat import hermite_row_basis
+from ggdim._intmat import hermite_row_basis, mat_vec
 from ggdim.cover import (
     CoverSpec, OrbitRecord, TypeSpec, derive_params, divisors, generic_cover,
     _quotient, in_T_brho, kp_class_test, kp_cover, orbit_census, orbits,
@@ -16,6 +16,12 @@ from ggdim.cover import (
     verify_kp_lemma, whittaker_dim_closed, x_lambda,
 )
 from ggdim.symgroup import act, all_permutations, simple, young_order
+
+
+def act_class(xg, w, x):
+    """The class of w.t, for x the class of t, through xg.perm_matrix(w)."""
+    raw = mat_vec(xg.perm_matrix(w), x)
+    return tuple(v % f for v, f in zip(raw, xg.invariant_factors))
 
 
 def small_sweep(n_max=6, k_max=3, r_mult=1):
@@ -131,7 +137,6 @@ def test_project_kernel_and_surjectivity():
         seen.add(x)
         assert (x == tuple([0] * ty.k)) == in_T_brho(cov, ty, t)
         assert xg.contains(t) == in_T_brho(cov, ty, t)
-        assert xg.project(xg.lift(x)) == x
     assert len(seen) == xg.order        # small group: surjectivity visible
 
 
@@ -143,7 +148,7 @@ def test_action_descends():
         for w in all_permutations(ty.k):
             for _ in range(10):
                 t = tuple(rng.randint(-6, 6) for _ in range(ty.k))
-                assert xg.project(act(w, t)) == xg.act_class(w, xg.project(t))
+                assert xg.project(act(w, t)) == act_class(xg, w, xg.project(t))
 
 
 def test_orbits_savin_4_2():
@@ -252,7 +257,7 @@ def test_representatives_cover_orbits_exactly_once():
         images = []
         for t in select_representatives(cov, ty):
             x = xg.project(t)
-            best = min(xg.act_class(w, x) for w in all_permutations(ty.k))
+            best = min(act_class(xg, w, x) for w in all_permutations(ty.k))
             images.append(best)
         assert len(set(images)) == len(images)
         assert set(images) == canon
@@ -266,7 +271,7 @@ def test_selected_representative_stabilizers_are_young():
         for t in select_representatives(cov, ty):
             x = xg.project(t)
             stab_class = {w for w in all_permutations(ty.k)
-                          if xg.act_class(w, x) == x}
+                          if act_class(xg, w, x) == x}
             stab_tuple = {w for w in all_permutations(ty.k) if act(w, t) == t}
             assert stab_class == stab_tuple
 
@@ -424,6 +429,18 @@ def test_census_memo_hit_still_refuses():
 def test_quotient_group_rejects_unstable():
     with pytest.raises(ValueError, match="S_k-stable"):
         quotient_group([[1, 2], [0, 5]])
+
+
+def test_quotient_group_rejects_lattice_unstable_under_the_cycle():
+    # stable under s_1, not under (1 2 3)
+    with pytest.raises(ValueError, match="S_k-stable"):
+        quotient_group([[2, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 0]])
+
+
+def test_quotient_group_rejects_lattice_unstable_under_s1():
+    # stable under (1 2 3), not under s_1
+    with pytest.raises(ValueError, match="S_k-stable"):
+        quotient_group([[7, 0, 0], [5, 1, 0], [3, 0, 1]])
 
 
 def test_quotient_group_rejects_deficient_rank():

@@ -82,6 +82,26 @@ def test_bernstein_cross_two_step_geometric_sum():
     assert got == expect
 
 
+@pytest.mark.parametrize("t, i, f, expect", [
+    # m = 2: phi_t and phi_{t-a} with +(q0-1), q0 = q^2
+    ((8, 0, 4), 1, 2, {((0, 8, 4), (2, 1, 3)): RF_ONE,
+                       ((8, 0, 4), (1, 2, 3)): q_power(2) - RF_ONE,
+                       ((4, 4, 4), (1, 2, 3)): q_power(2) - RF_ONE}),
+    # m = -2: phi_{t+a} and phi_{t+2a} with -(q0-1)
+    ((0, 4, 12), 2, 1, {((0, 12, 4), (1, 3, 2)): RF_ONE,
+                        ((0, 8, 8), (1, 2, 3)): RF_ONE - RF_Q,
+                        ((0, 12, 4), (1, 2, 3)): RF_ONE - RF_Q}),
+    # m = 0: s fixes t, no lattice part
+    ((6, 2, 2), 2, 1, {((6, 2, 2), (1, 3, 2)): RF_ONE}),
+], ids=["m>0", "m<0", "m=0"])
+def test_bernstein_cross_golden(t, i, f, expect):
+    # kp n=4, k=3: coroot multiplier 4, so a = (4, -4, 0) or (0, 4, -4)
+    lat = kp_lat_k3()
+    got = bernstein_cross(lat, t, i, q_power(f))
+    assert got == AffineHeckeElement(
+        lat, {(x, Permutation(w)): c for (x, w), c in expect.items()})
+
+
 def test_bernstein_cross_errors():
     lat = savin_lat()
     with pytest.raises(ValueError):

@@ -10,10 +10,11 @@ from ggdim.coeff import (
 from ggdim.hecke_finite import (
     ASCENT, DESCENT, FiniteHeckeElement, action_matrix, associative_on,
     braid_relation_holds, h0_multiply, hom_to_sign_dim, induced_sign_module,
-    module_act, quadratic_defect, sign_hom_dim, sign_value,
+    module_act, quadratic_defect, sign_hom_dim,
 )
 from ggdim.symgroup import (
-    all_permutations, identity, parabolic_decompose, simple, young_subgroup,
+    Permutation, all_permutations, identity, length, parabolic_decompose,
+    simple, young_subgroup,
 )
 
 from shared import compositions, frac_rank
@@ -23,6 +24,11 @@ T = FiniteHeckeElement.basis
 
 def ts(i, k):
     return T(simple(i, k))
+
+
+def sign_value(w: Permutation) -> RatFunc:
+    """The sign character on the basis: T_w -> (-1)^length(w)."""
+    return RatFunc(-1) if length(w) % 2 else RF_ONE
 
 
 def test_length_additive_product():

@@ -5,10 +5,35 @@ from math import factorial
 import pytest
 
 from ggdim.symgroup import (
-    Permutation, act, all_permutations, compose_word, identity, length,
-    min_coset_reps, parabolic_decompose, reduced_word, simple,
-    subgroup_elements, young_composition, young_order, young_subgroup,
+    Permutation, act, all_permutations, identity, length, min_coset_reps,
+    parabolic_decompose, reduced_word, simple, young_composition, young_order,
+    young_subgroup,
 )
+
+
+def compose_word(word, k: int) -> Permutation:
+    """Product s_{word[0]} * s_{word[1]} * ... (so the leftmost acts last)."""
+    w = identity(k)
+    for i in word:
+        w = w * simple(i, k)
+    return w
+
+
+def subgroup_elements(k: int, J) -> list:
+    """All elements of the standard parabolic W_J, by closure under generators."""
+    gens = [simple(j, k) for j in sorted(J)]
+    seen = {identity(k)}
+    frontier = [identity(k)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                u = w * g
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen, key=lambda w: (length(w), w.one_line))
 
 
 def test_permutation_validation():
