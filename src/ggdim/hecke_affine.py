@@ -46,11 +46,11 @@ The induced module itself is built only inside sign_hom_dim, once per
 (k, J).  A homomorphism from C[Y] (x) W to a one-dimensional module is
 determined by its restriction to W, so the Whittaker dimension is
 sum_J N_J * dim Hom(H_0 (x)_{H_J} eps_J, sign), each Hom dimension computed
-once per (k, J, f).  (The one-dimensional
-C[Y]-action on the target is a scalar normalisation with no effect on
-dimensions; it is fixed to 1 throughout.)  Before any module is built the
-Hecke leg's kernel width, sum over the distinct J of k!/|W_J| columns, is
-checked against MAX_HECKE_COLUMNS.
+once per (k, J, f).  (The one-dimensional C[Y]-action on the target is a
+scalar normalisation with no effect on dimensions; it is fixed to 1
+throughout.)  Before any module is built the Hecke leg's kernel width, sum
+over the distinct J of k!/|W_J| columns, is checked against
+MAX_HECKE_COLUMNS.
 """
 
 from __future__ import annotations
