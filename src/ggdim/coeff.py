@@ -23,22 +23,25 @@ Polynomial gcds use the primitive Euclidean algorithm (primitive part after
 each pseudo-remainder).  Degrees stay tiny in this application; no need for
 subresultants.
 
-kernel_basis eliminates over Q(q) on sparse rows with a cheapest-pivot
-heuristic: the next pivot is the entry with the smallest key (entry cost =
-size of numerator plus size of denominator, row length, column, original row
-order).  A heap holds those keys, refreshed whenever a row changes and
-checked against the row when popped, and a column -> rows index names the
-live rows each pivot touches, so a pivot step costs only the rows it
-eliminates from instead of a scan of every entry.  Elimination is forward
-only: a pivot clears its column from the live rows, not from the earlier
-pivot rows, and one back-substitution pass, latest pivot first, brings the
-pivot rows to reduced form at the end.  A pivot row never re-enters a live
-row, so the pivots and the basis are those of full Gauss-Jordan elimination
-with the same rule.  The homomorphism-space computations in the Hecke
-modules feed it systems that are large but very sparse (at most two entries
-per row).  Their cost is the number of row updates, each a few RatFunc
-operations, and it grows quadratically with the width in a bad column order
-(see hecke_finite.hom_to_sign_dim).
+kernel_basis eliminates over Q(q) on sparse rows and picks its pivots by
+Markowitz's rule, column first: each pivot costs one row update per other
+live row in its column, so the next pivot column is the one with the fewest
+live rows, and within it the pivot row has the smallest (entry cost = size
+of numerator plus size of denominator, row length, original row order).
+Ties go to the lowest column, so the pivots are deterministic.  A column ->
+rows index names the live rows of each column, and a lazy heap holds
+(live-row count, column) keys: a popped key whose count no longer matches
+is skipped, and after each pivot only the pivot row's columns, whose counts
+fill-in, cancellation and the pivot row's removal change, get fresh keys.
+Elimination is forward only: a pivot clears its column from the live rows,
+not from the earlier pivot rows, and one back-substitution pass, latest
+pivot first, brings the pivot rows to reduced form at the end.  A pivot row
+never re-enters a live row, so the basis is that of full Gauss-Jordan
+elimination with the same pivots.  The homomorphism-space computations in
+the Hecke modules feed it systems that are large but very sparse (at most
+two entries per row, most of them 1).  Their cost is the number of row
+updates, each a few RatFunc operations, so a product by 1 returns the other
+factor without allocating (see hecke_finite.hom_to_sign_dim for the counts).
 """
 
 from __future__ import annotations
@@ -320,6 +323,11 @@ class RatFunc:
     def __mul__(self, other):
         other = _coerce(other)
         if self.den.coeffs == (1,) and other.den.coeffs == (1,):
+            # immutable, so a product by 1 can be the other factor itself
+            if self.num.coeffs == (1,):
+                return other
+            if other.num.coeffs == (1,):
+                return self
             out = RatFunc.__new__(RatFunc)
             out.num = self.num * other.num
             out.den = P_ONE
@@ -468,55 +476,49 @@ def kernel_basis(m) -> list:
     if not isinstance(m, RFMatrix):
         m = RFMatrix(m)
     ncols = m.ncols
-    # row id = position among the nonzero rows, the last tie-break of a key
+    # row id = position among the nonzero rows, the last tie-break of a pivot
     rows = [dict(row) for row in m.entries if row]
     cols: dict[int, set] = {}       # column -> ids of live rows nonzero there
-    heap = []
     for rid, row in enumerate(rows):
-        for j, e in row.items():
+        for j in row:
             cols.setdefault(j, set()).add(rid)
-            heap.append((_entry_cost(e), len(row), j, rid))
+    heap = [(len(ids), j) for j, ids in cols.items()]
     heapq.heapify(heap)
-    live = set(range(len(rows)))    # nonzero rows not yet used as pivots
     pivots = []                     # (pivot column, pivot row), in pivot order
 
-    while live:
-        cost, ln, pc, rid = heapq.heappop(heap)
-        prow = rows[rid]
-        # a stale key: the row became a pivot, emptied, or changed since
-        if rid not in live or len(prow) != ln:
+    while heap:
+        count, pc = heapq.heappop(heap)
+        ids = cols.get(pc)
+        # a stale key: the column was a pivot column, or its count changed
+        if ids is None or len(ids) != count:
             continue
-        pe = prow.get(pc)
-        if pe is None or _entry_cost(pe) != cost:
-            continue
-        live.discard(rid)
-        rows[rid] = prow = {j: e / pe for j, e in prow.items()}
+        rid = min(ids, key=lambda i: (_entry_cost(rows[i][pc]), len(rows[i]), i))
+        pe = rows[rid][pc]
+        prow = {j: e / pe for j, e in rows[rid].items()}
         for j in prow:
             cols[j].discard(rid)
         pivots.append((pc, prow))
+        negs = [(j, -e) for j, e in prow.items() if j != pc]
         # eliminate pc from the live rows only; no later fill-in reaches pc
         for oid in cols.pop(pc):
             other = rows[oid]
-            nf = -other.pop(pc)
-            for j, e in prow.items():
-                if j == pc:
-                    continue
+            f = other.pop(pc)
+            for j, ne in negs:
                 x = other.get(j)
-                if x is None:               # fill-in: nonzero, as nf and e are
-                    other[j] = nf * e
+                if x is None:               # fill-in: nonzero, as f and ne are
+                    other[j] = f * ne
                     cols[j].add(oid)
                     continue
-                v = x + nf * e
+                v = x + f * ne
                 if v:
                     other[j] = v
                 else:
                     del other[j]
                     cols[j].discard(oid)
-            if other:
-                for j, e in other.items():
-                    heapq.heappush(heap, (_entry_cost(e), len(other), j, oid))
-            else:
-                live.discard(oid)
+        # only the pivot row's columns changed their counts
+        for j, _ in negs:
+            if cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
 
     # back-substitution, latest pivot first: a pivot row holds no earlier
     # pivot column, and the later pivot rows it refers to are reduced already

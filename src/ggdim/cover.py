@@ -236,9 +236,9 @@ class QuotientGroup:
 
     def perm_matrix(self, w) -> list:
         """Integer matrix of the action of w on projected coordinates."""
-        k = self.k
-        p = [[1 if w(j + 1) - 1 == i else 0 for j in range(k)] for i in range(k)]
-        return mat_mul(mat_mul(self._u, p), self._uinv)
+        # U times the permutation matrix of w is U with its columns permuted
+        up = [[row[w(j + 1) - 1] for j in range(self.k)] for row in self._u]
+        return mat_mul(up, self._uinv)
 
     @functools.cached_property
     def census(self) -> tuple:

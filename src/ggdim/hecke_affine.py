@@ -71,9 +71,9 @@ from .symgroup import (
 
 # largest kernel width (sum over the distinct stabilizer compositions J of
 # k!/|W_J| columns) the Hecke leg takes on.  KP n=4, k=7 needs 6133 columns
-# and its whole dims run takes about 2.7 s; the Hom kernel of the free module
-# of S_7 alone, 5040 columns, takes about 4.5 s (2-core x86 VM, Python 3.11),
-# so the width is only a proxy for the cost.
+# and its whole dims run takes about 0.7-0.8 s; the Hom kernel of the free
+# module of S_7 alone, 5040 columns, takes about 0.5-0.6 s (2-core x86 VM,
+# Python 3.11), so the width is only a proxy for the cost.
 MAX_HECKE_COLUMNS = 10 ** 4
 
 

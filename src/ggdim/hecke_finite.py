@@ -289,15 +289,14 @@ def hom_to_sign_dim(m: InducedSignModule, q0: RatFunc = RF_Q) -> int:
     and zero (no constraint) when T_s . x = -x.
 
     Basis vector n is column dim - 1 - n, so the longest coset
-    representatives come first.  kernel_basis breaks ties towards the
-    lowest column, and every row links x to sx: in the length-ascending
-    order each elimination piles the row onto longer elements, in this one
-    it carries the row down towards the identity.  On the free module of
-    S_7 that is 248833 live-row updates instead of 454129.  A column
-    permutation leaves the rank, hence the dimension, unchanged.  The rows
-    stay reflection-major (all of s_1, then all of s_2, ...); taken basis
-    vector by basis vector in the length-ascending order, the same system
-    needs 10969969 updates.
+    representatives come first.  A column permutation leaves the rank,
+    hence the dimension, unchanged.  kernel_basis picks the column with the
+    fewest live rows and breaks ties towards the lowest column.  Both orders
+    then make the same live-row updates (13465 on the free module of S_6,
+    138673 on that of S_7), but in this one fewer of the products have a
+    factor 1, which costs no allocation: on free S_7, 64647 products of
+    other entries against 81492 in the length-ascending order, and
+    0.48-0.61 s against 0.57-0.68 s (three runs each).
     """
     last = m.dim - 1
     rows = []

@@ -13,21 +13,30 @@ def compositions(k):
             yield young_composition(J, k)
 
 
-def frac_rank(rows):
-    """Rank over Q of a matrix with rational entries (Gauss-Jordan)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+def echelon(rows):
+    """Reduced row echelon form over a field, zero rows dropped.
+
+    Entries are Fractions or RatFuncs.  Two lists of vectors span the same
+    space exactly when their echelon forms are equal.
+    """
+    rows = [list(r) for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pr = rows[rank]
         pr[:] = [x / pr[c] for x in pr]
         for i, other in enumerate(rows):
-            if i != rank and other[c] != 0:
+            if i != rank and other[c]:
                 f = other[c]
                 other[:] = [x - f * y for x, y in zip(other, pr)]
         rank += 1
-    return rank
+    return [tuple(r) for r in rows[:rank]]
+
+
+def frac_rank(rows):
+    """Rank over Q of a matrix with rational entries."""
+    return len(echelon([[Fraction(x) for x in r] for r in rows]))

@@ -125,6 +125,41 @@ def test_sweep_bound_marks_na(capsys):
         assert vals[SWEEP_COLUMNS.index("dim_closed")] == "3"
 
 
+def _one_leg_off_by_one(monkeypatch, leg):
+    """Patch one leg of cli.dim_report to count one too many."""
+    orig = getattr(cli, leg)
+    if leg == "whittaker_dim_closed":
+        monkeypatch.setattr(cli, leg, lambda cov, ty: orig(cov, ty) + 1)
+    else:       # only the enumeration leg reads cli.orbit_census
+        monkeypatch.setattr(cli, leg, lambda xg, bound: dict(
+            orig(xg, bound=bound), extra=1))
+
+
+@pytest.mark.parametrize("leg", ["whittaker_dim_closed", "orbit_census"])
+def test_dims_exits_2_when_one_leg_is_off(capsys, monkeypatch, leg):
+    _one_leg_off_by_one(monkeypatch, leg)
+    code, out, _ = run(capsys, ["dims", "--kind", "kp", "--n", "4", "--c", "0",
+                                "--r", "2", "--k", "2", "--output", "json"])
+    assert code == 2
+    row = json.loads(out)
+    assert row["agree"] is False
+    off = "dim_closed" if leg == "whittaker_dim_closed" else "dim_bruteforce"
+    legs = {"dim_closed": 10, "dim_bruteforce": 10, "dim_hecke": 10, off: 11}
+    assert {c: row[c] for c in legs} == legs
+
+
+@pytest.mark.parametrize("leg", ["whittaker_dim_closed", "orbit_census"])
+def test_sweep_exits_2_when_one_leg_is_off(capsys, monkeypatch, leg):
+    _one_leg_off_by_one(monkeypatch, leg)
+    code, out, _ = run(capsys, ["sweep", "--n", "3", "--k", "2",
+                                "--output", "csv"])
+    assert code == 2
+    agree_col = SWEEP_COLUMNS.index("agree")
+    lines = out.strip().split("\n")[1:]
+    assert lines
+    assert {line.split(",")[agree_col] for line in lines} == {"false"}
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(

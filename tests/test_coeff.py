@@ -10,7 +10,7 @@ from ggdim.coeff import (
 )
 from ggdim.hecke_finite import ASCENT, DESCENT, induced_sign_module
 
-from shared import compositions, frac_rank
+from shared import compositions, echelon, frac_rank
 
 
 def rf(num, den=1):
@@ -85,6 +85,15 @@ def test_q_power():
     assert q_power(3) == RF_Q * RF_Q * RF_Q
 
 
+def test_product_by_one_is_the_other_factor():
+    for x in (RatFunc(3), RatFunc(-1), RF_Q - RF_ONE, RF_Q * RF_Q, RF_ZERO):
+        for one in (RF_ONE, RatFunc(1)):
+            assert x * one is x
+            assert one * x is x
+    x = rf(1, [1, 1])              # a denominator: an ordinary product
+    assert x * RF_ONE == x and RF_ONE * x == x
+
+
 def test_add_term_accumulates_and_drops_zero_sums():
     acc = {"a": RF_ONE}
     add_term(acc, "b", RF_Q)                 # a new key
@@ -113,6 +122,12 @@ def test_kernel_rank_one_2x2():
     m = RFMatrix([[RF_Q, RF_Q], [RF_ONE, RF_ONE]])
     basis = kernel_basis(m)
     assert basis == [(RF_ONE, RatFunc(-1))]
+
+
+def test_kernel_of_sparse_rows_with_explicit_zeros():
+    # RFMatrix.sparse drops the zero entries, so column 0 is free
+    m = RFMatrix.sparse([{0: 0, 1: 1}, {0: 0, 2: 1}], 3)
+    assert kernel_basis(m) == [(RF_ONE, RF_ZERO, RF_ZERO)]
 
 
 def test_kernel_vectors_annihilate():
@@ -195,11 +210,14 @@ def _entry_cost(e):
 
 
 def _full_scan_kernel(m):
-    """Reference: the pivot rule by a scan of every entry before each pivot.
+    """Reference: Gauss-Jordan elimination, each pivot found by a full scan.
 
     The next pivot minimises (entry cost, row length, column, row position)
-    over all remaining entries; kernel_basis must choose the same pivots from
-    its heap and return exactly this basis.
+    over all remaining entries.  kernel_basis picks its pivots by another
+    rule, so where the kernel has dimension > 1 its basis spans the same
+    space through other free columns: compare reduced echelon forms there.
+    A 1-dimensional kernel has one normalised basis, so there the two
+    bases are equal.
     """
     ncols = m.ncols
     work = [{j: e for j, e in enumerate(row) if e} for row in m.rows]
@@ -258,10 +276,11 @@ def test_kernel_matches_full_scan_pivot_rule():
             rows.append({j: rng.choice(pool)
                          for j in rng.sample(range(nc), min(width, nc))})
         m = RFMatrix.sparse(rows, nc)
-        expect = _full_scan_kernel(m)
-        assert kernel_basis(m) == expect
+        got, expect = kernel_basis(m), _full_scan_kernel(m)
+        assert len(got) == len(expect)
+        assert echelon(got) == echelon(expect)
         if nr:              # dense rows carry no width when there are none
-            assert kernel_basis(RFMatrix(m.rows)) == expect
+            assert kernel_basis(RFMatrix(m.rows)) == got
 
 
 def _hom_system(m, q0, longest_first):
@@ -307,7 +326,9 @@ def test_kernel_matches_full_scan_with_scalar_twins():
                              for j in rng.sample(range(nc), min(width, nc))})
         rng.shuffle(rows)
         m = RFMatrix.sparse(rows, nc)
-        assert kernel_basis(m) == _full_scan_kernel(m)
+        got, expect = kernel_basis(m), _full_scan_kernel(m)
+        assert len(got) == len(expect)
+        assert echelon(got) == echelon(expect)
 
 
 def _canonical_poly(p):
